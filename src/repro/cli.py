@@ -395,212 +395,58 @@ def _cmd_view_drop(args) -> int:
     return EXIT_YES
 
 
-def _answer_from_views(views: dict, digest: str, expression, explain: bool):
-    """A fresh registered view matching ``expression``, if any.
-
-    ``views``/``digest`` are loaded once per invocation by ``_cmd_eval``
-    (neither can change mid-run).  Returns ``(view_name, table)`` or
-    ``None``; with ``explain`` prints why each candidate was passed over
-    (stale digest) or that nothing matched.
-    """
+def _sidecar_views(db_path: str, datalog: bool, ordering: str):
+    """The registered views as ``match_view`` candidates, split ``(fresh,
+    stale)`` by the database digest; ``None`` when none is registered.
+    Loaded once per invocation.  An entry whose query does not compile as
+    this invocation's kind, or whose table is mangled, is skipped: a
+    registry edited by hand is never fatal for eval."""
     from .io.jsonio import table_from_json
-    from .relational.parser import ParseError, parse_query
-    from .relational.planner import PlanError, plan_fingerprint, ra_of_ucq
+    from .queries.prepared import prepare
 
+    views = _load_registry(db_path)["views"]
     if not views:
-        if explain:
-            print("-- view: no views registered; evaluating from base tables")
         return None
-    wanted = plan_fingerprint(expression)
-    stale = []
+    digest = _db_digest(db_path)
+    fresh, stale = [], []
     for name, entry in sorted(views.items()):
         try:
-            candidate = ra_of_ucq(parse_query(entry.get("query", "")))
-        except (ParseError, PlanError, ValueError):
-            continue  # a registry edited by hand; never fatal for eval
-        if plan_fingerprint(candidate) != wanted:
-            continue
-        if entry.get("digest") != digest:
-            stale.append(name)
-            continue
-        try:
+            fingerprint = prepare(entry.get("query", ""), datalog, ordering).fingerprint
             table = table_from_json(entry.get("table") or {})
         except (KeyError, ValueError):
-            continue  # stored materialization mangled by hand: fall through
-        if explain:
-            print(f"-- view: answered by materialized view {name!r} (fresh)")
-        return name, table
-    if explain:
-        if stale:
-            print(
-                f"-- view: {', '.join(repr(s) for s in stale)} match(es) but "
-                "the database changed since materialization (stale); "
-                "evaluating from base tables (repro view refresh to update)"
-            )
+            continue
+        (fresh if entry.get("digest") == digest else stale).append((name, fingerprint, table))
+    return fresh, stale
+
+
+def _answer_from_sidecar(prepared, sidecar, explain: bool):
+    """A fresh registered view answering ``prepared`` as ``(name,
+    table)``, or ``None``; with ``explain`` prints which view answered,
+    or why none did (nothing registered, only stale matches...)."""
+    from .queries.prepared import match_view
+
+    hit = None
+    if sidecar is None:
+        note = "no views registered; evaluating from base tables"
+    elif prepared.fingerprint is None:
+        note = "program has several output predicates; evaluating from base tables"
+    else:
+        fresh, stale = sidecar
+        hit = match_view(prepared, fresh)
+        if hit is not None:
+            note = f"answered by materialized view {hit[0]!r} (fresh)"
         else:
-            print("-- view: no registered view matches; evaluating from base tables")
-    return None
-
-
-def _answer_from_datalog_views(views: dict, digest: str, program, explain: bool):
-    """A fresh registered recursive view matching ``program``, if any.
-
-    The Datalog counterpart of :func:`_answer_from_views`: matching is
-    syntactic on :func:`~repro.queries.fixpoint.datalog_fingerprint`
-    (rule set + output choice), restricted to single-output programs —
-    the sidecar stores one table per view.
-    """
-    from .io.jsonio import table_from_json
-    from .queries.fixpoint import datalog_fingerprint
-    from .relational.parser import ParseError, parse_datalog
-
-    if not views:
-        if explain:
-            print("-- view: no views registered; evaluating from base tables")
-        return None
-    if len(program.outputs) != 1:
-        if explain:
-            print(
-                "-- view: program has several output predicates; "
-                "evaluating from base tables"
-            )
-        return None
-    wanted = datalog_fingerprint(program)
-    stale = []
-    for name, entry in sorted(views.items()):
-        try:
-            candidate = datalog_fingerprint(parse_datalog(entry.get("query", "")))
-        except (ParseError, ValueError):
-            continue  # a non-Datalog or hand-mangled entry; never fatal
-        if candidate != wanted:
-            continue
-        if entry.get("digest") != digest:
-            stale.append(name)
-            continue
-        try:
-            table = table_from_json(entry.get("table") or {})
-        except (KeyError, ValueError):
-            continue  # stored materialization mangled by hand: fall through
-        if explain:
-            print(f"-- view: answered by materialized view {name!r} (fresh)")
-        return name, table
+            stale_hits = [view[0] for view in stale if match_view(prepared, [view])]
+            note = "no registered view matches; evaluating from base tables"
+            if stale_hits:
+                note = (
+                    f"{', '.join(repr(s) for s in stale_hits)} match(es) but the "
+                    "database changed since materialization (stale); evaluating "
+                    "from base tables (repro view refresh to update)"
+                )
     if explain:
-        if stale:
-            print(
-                f"-- view: {', '.join(repr(s) for s in stale)} match(es) but "
-                "the database changed since materialization (stale); "
-                "evaluating from base tables (repro view refresh to update)"
-            )
-        else:
-            print("-- view: no registered view matches; evaluating from base tables")
-    return None
-
-
-def _eval_datalog(args, db, store) -> int:
-    """The ``eval --datalog`` path: least fixpoints over the c-tables."""
-    from .queries.fixpoint import CTFixpoint, naive_ct_refixpoint
-    from .relational.parser import ParseError, parse_datalog
-    from .relational.planner import PlanError
-
-    report: dict | None = None
-    if args.explain_json:
-        report = {"database": args.database, "ordering": args.ordering, "queries": []}
-    view_registry = None
-    if args.use_views and not args.naive:
-        view_registry = (
-            _load_registry(args.database)["views"],
-            _db_digest(args.database),
-        )
-    for position, query_arg in enumerate(args.query):
-        query_text = _read_query_argument(query_arg)
-        try:
-            program = CTFixpoint(parse_datalog(query_text), ordering=args.ordering)
-        except (ParseError, PlanError, ValueError) as exc:
-            raise CliError(f"query: {exc}") from exc
-        if report is None:
-            if position:
-                print()
-            if len(args.query) > 1:
-                print(
-                    f"-- program {position + 1}: outputs {', '.join(program.outputs)}"
-                )
-        if view_registry is not None:
-            answered = _answer_from_datalog_views(
-                *view_registry, program, args.explain and report is None
-            )
-            if answered is not None:
-                from .core.tables import CTable
-
-                name, table = answered
-                view = CTable(name, table.arity, table.rows, table.global_condition)
-                if report is not None:
-                    report["queries"].append(
-                        {
-                            "outputs": list(program.outputs),
-                            "answered_by_view": name,
-                            "tables": [_table_summary(view)],
-                        }
-                    )
-                    continue
-                print(
-                    f"-- {view.name}/{view.arity} "
-                    f"({view.classify()}-table, {len(view)} rows)"
-                )
-                print(view)
-                continue
-        rounds = None
-        try:
-            if args.naive:
-                if args.plan and report is None:
-                    for head, expr in program.rule_plans:
-                        print(f"-- expression[{head}]: {expr!r}")
-                out = naive_ct_refixpoint(program, db)
-                trace: list[str] = []
-            else:
-                evaluation = program.evaluation(db, stats=store.snapshot())
-                if args.plan and report is None:
-                    for head, root in evaluation.rule_roots:
-                        print(f"-- plan[{head}]: {root.expr!r}")
-                out = evaluation.database()
-                trace = evaluation.trace
-                rounds = evaluation.round_stats
-        except KeyError as exc:
-            raise CliError(f"evaluation: unknown relation {exc}") from exc
-        except ValueError as exc:
-            raise CliError(f"evaluation: {exc}") from exc
-        if report is not None:
-            entry: dict = {
-                "outputs": list(program.outputs),
-                "tables": [_table_summary(table) for table in out],
-            }
-            if trace:
-                entry["explain"] = list(trace)
-            if rounds is not None:
-                entry["rounds"] = rounds
-            report["queries"].append(entry)
-            continue
-        if args.explain:
-            for line in trace:
-                print(f"-- {line}")
-        if args.analyze and rounds is not None:
-            from .obs.analyze import render_analysis
-
-            payload = {
-                "kind": "datalog",
-                "rounds": rounds,
-                "total_ms": round(sum(r["ms"] for r in rounds), 3),
-            }
-            for line in render_analysis(payload):
-                print(f"-- {line}")
-        for table in out:
-            print(
-                f"-- {table.name}/{table.arity} "
-                f"({table.classify()}-table, {len(table)} rows)"
-            )
-            print(table)
-    if report is not None:
-        print(json.dumps(report, indent=2))
-    return EXIT_YES
+        print(f"-- view: {note}")
+    return hit
 
 
 def _table_summary(table) -> dict:
@@ -625,13 +471,7 @@ def _read_query_argument(query_arg: str) -> str:
 
 
 def _cmd_eval(args) -> int:
-    from .ctalgebra.evaluate import (
-        evaluate_ct,
-        evaluate_ct_analyzed,
-        evaluate_ct_ordered,
-    )
-    from .relational.parser import ParseError, parse_query
-    from .relational.planner import PlanError, plan, ra_of_ucq
+    from .queries.prepared import QueryError, execute, prepare
     from .relational.stats import StatsStore
 
     db = load_database_file(args.database)
@@ -645,167 +485,137 @@ def _cmd_eval(args) -> int:
         store = StatsStore(db)
     else:
         store = StatsStore(db, buckets=args.histogram_buckets)
-    if args.explain and args.naive:
-        print(
-            "repro: --explain has no effect with --naive (nothing is planned); "
-            "showing the compiled expression instead",
-            file=sys.stderr,
-        )
-    if args.histogram_buckets is not None and args.naive:
-        print(
-            "repro: --histogram-buckets has no effect with --naive "
-            "(no statistics are collected)",
-            file=sys.stderr,
-        )
-    if args.use_views and args.naive:
-        print(
-            "repro: --use-views has no effect with --naive "
-            "(the oracle path never answers from materializations)",
-            file=sys.stderr,
-        )
-    if args.analyze and args.naive:
-        print(
-            "repro: --analyze has no effect with --naive "
-            "(the oracle path is not instrumented)",
-            file=sys.stderr,
-        )
-    if args.datalog:
-        return _eval_datalog(args, db, store)
+    for given, flag, why in (
+        (args.explain, "--explain",
+         "(nothing is planned); showing the compiled expression instead"),
+        (args.histogram_buckets is not None, "--histogram-buckets",
+         "(no statistics are collected)"),
+        (args.use_views, "--use-views",
+         "(the oracle path never answers from materializations)"),
+        (args.analyze, "--analyze", "(the oracle path is not instrumented)"),
+    ):
+        if given and args.naive:
+            print(f"repro: {flag} has no effect with --naive {why}", file=sys.stderr)
     # --explain-json: one JSON document on stdout instead of rendered
     # tables, so tooling and tests read structure, not scraped text.
     report: dict | None = None
     if args.explain_json:
         report = {"database": args.database, "ordering": args.ordering, "queries": []}
-    view_registry = None
-    if args.use_views and not args.naive:
-        # Loaded once: neither the sidecar nor the database file can
-        # change mid-invocation, and hashing the database is O(file).
-        view_registry = (
-            _load_registry(args.database)["views"],
-            _db_digest(args.database),
-        )
+    use_views = args.use_views and not args.naive
+    sidecar = _sidecar_views(args.database, args.datalog, args.ordering) if use_views else None
     for position, query_arg in enumerate(args.query):
-        query_text = _read_query_argument(query_arg)
         try:
-            query = parse_query(query_text)
-            expression = ra_of_ucq(query)
-        except (ParseError, PlanError, ValueError) as exc:
-            raise CliError(f"query: {exc}") from exc
-        name = query.rules[0].head.pred
+            prepared = prepare(_read_query_argument(query_arg), args.datalog, args.ordering)
+        except QueryError as exc:
+            raise CliError(str(exc)) from exc
         if report is None:
             if position:
                 print()
-            if len(args.query) > 1:
-                print(f"-- query {position + 1}: {name}")
-        if view_registry is not None:
-            answered = _answer_from_views(
-                *view_registry, expression, args.explain and report is None
-            )
-            if answered is not None:
-                from .core.tables import CTable
-
-                view_name, table = answered
-                view = CTable(name, table.arity, table.rows, table.global_condition)
-                if report is not None:
-                    report["queries"].append(
-                        {
-                            "name": view.name,
-                            "arity": view.arity,
-                            "rows": len(view),
-                            "classification": view.classify(),
-                            "answered_by_view": view_name,
-                        }
-                    )
-                    continue
-                if args.plan:
-                    print("-- plan: skipped (answered from a materialized view)")
-                print(
-                    f"-- {view.name}/{view.arity} "
-                    f"({view.classify()}-table, {len(view)} rows)"
-                )
-                print(view)
+            if len(args.query) > 1 and args.datalog:
+                outputs = ", ".join(prepared.compiled.outputs)
+                print(f"-- program {position + 1}: outputs {outputs}")
+            elif len(args.query) > 1:
+                print(f"-- query {position + 1}: {prepared.name}")
+        if use_views:
+            hit = _answer_from_sidecar(prepared, sidecar, args.explain and report is None)
+            if hit is not None:
+                _show_view_answer(args, report, prepared, *hit)
                 continue
-        stats = None if args.naive else store.snapshot()
-        if stats is not None and report is not None and position == 0:
-            report["stats"] = [
-                table_stats.to_json()
-                for table_stats in sorted(stats, key=lambda t: t.name)
-            ]
-        if args.explain and not args.naive and position == 0 and report is None:
-            for table_stats in sorted(stats, key=lambda t: t.name):
-                print(f"-- stats: {table_stats.describe()}")
-                for line in table_stats.histogram_lines():
-                    print(f"-- stats:   {line}")
-        if args.explain and args.naive and not args.plan and report is None:
-            # (--plan prints the same compiled expression already.)
-            print(f"-- expression: {expression!r}")
-        plan_repr = None
-        if args.plan or report is not None:
-            # Show what actually executes: the statistics-ordered plan, or
-            # with --naive the expression as compiled (run literally).
-            shown = (
-                expression
-                if args.naive
-                else plan(expression, stats=stats, ordering=args.ordering)
-            )
-            plan_repr = f"{shown!r}"
-            if args.plan and report is None:
-                print(f"-- plan: {plan_repr}")
-        want_explain = (args.explain or report is not None) and not args.naive
-        explain: list[str] | None = [] if want_explain else None
-        analysis = None
+        stats = None if store is None else store.snapshot()
         try:
-            if args.naive:
-                view = evaluate_ct(expression, db, name=name)
-            elif args.analyze:
-                view, analysis = evaluate_ct_analyzed(
-                    expression,
-                    db,
-                    name=name,
-                    stats=stats,
-                    explain=explain,
-                    ordering=args.ordering,
-                )
-            else:
-                view = evaluate_ct_ordered(
-                    expression,
-                    db,
-                    name=name,
-                    stats=stats,
-                    explain=explain,
-                    ordering=args.ordering,
-                )
-        except KeyError as exc:
-            raise CliError(f"evaluation: unknown relation {exc}") from exc
-        except ValueError as exc:
-            raise CliError(f"evaluation: {exc}") from exc
-        if report is not None:
-            entry = {
-                "name": view.name,
-                "arity": view.arity,
-                "rows": len(view),
-                "classification": view.classify(),
-                "plan": plan_repr,
-            }
-            if explain is not None:
-                entry["explain"] = list(explain)
-            if analysis is not None:
-                entry["analyze"] = analysis.to_json()
-            report["queries"].append(entry)
+            # The JSON report always carries explain lines, and for
+            # Datalog the per-round deltas (the analyze payload).
+            execution = execute(
+                prepared, db, stats,
+                naive=args.naive,
+                explain=args.explain or report is not None,
+                analyze=args.analyze or (args.datalog and report is not None),
+            )
+        except QueryError as exc:
+            raise CliError(str(exc)) from exc
+        if report is None:
+            _show_execution(args, position, stats, prepared, execution)
             continue
-        if explain is not None and args.explain:
-            if not explain:
-                explain.append("join order: unchanged (no 3+-way join chain)")
-            for line in explain:
-                print(f"-- {line}")
-        if analysis is not None:
-            for line in analysis.lines():
-                print(f"-- {line}")
-        print(f"-- {view.name}/{view.arity} ({view.classify()}-table, {len(view)} rows)")
-        print(view)
+        if stats is not None and position == 0 and not args.datalog:
+            report["stats"] = [
+                table_stats.to_json() for table_stats in sorted(stats, key=lambda t: t.name)
+            ]
+        report["queries"].append(_report_entry(prepared, execution))
     if report is not None:
         print(json.dumps(report, indent=2))
     return EXIT_YES
+
+
+def _print_table(table) -> None:
+    print(f"-- {table.name}/{table.arity} ({table.classify()}-table, {len(table)} rows)")
+    print(table)
+
+
+def _show_view_answer(args, report, prepared, view_name: str, table) -> None:
+    if report is not None:
+        if prepared.kind == "datalog":
+            report["queries"].append({
+                "outputs": list(prepared.compiled.outputs),
+                "answered_by_view": view_name,
+                "tables": [_table_summary(table)],
+            })
+        else:
+            report["queries"].append({**_table_summary(table), "answered_by_view": view_name})
+        return
+    if args.plan and prepared.kind == "ucq":
+        print("-- plan: skipped (answered from a materialized view)")
+    _print_table(table)
+
+
+def _show_execution(args, position: int, stats, prepared, execution) -> None:
+    from .obs.analyze import render_analysis
+
+    datalog = prepared.kind == "datalog"
+    if args.explain and stats is not None and position == 0 and not datalog:
+        for table_stats in sorted(stats, key=lambda t: t.name):
+            print(f"-- stats: {table_stats.describe()}")
+            for line in table_stats.histogram_lines():
+                print(f"-- stats:   {line}")
+    if args.explain and args.naive and not args.plan and not datalog:
+        # (--plan prints the same compiled expression already.)
+        print(f"-- expression: {prepared.compiled!r}")
+    if args.plan:
+        # What actually ran: the statistics-ordered plan, or with
+        # --naive the expression as compiled (run literally).
+        for head, expression in execution.plans:
+            if not datalog:
+                print(f"-- plan: {expression!r}")
+            else:
+                print(f"-- {'expression' if args.naive else 'plan'}[{head}]: {expression!r}")
+    if args.explain and execution.explain is not None:
+        if not execution.explain and not datalog:
+            execution.explain.append("join order: unchanged (no 3+-way join chain)")
+        for line in execution.explain:
+            print(f"-- {line}")
+    if execution.analyze is not None:
+        for line in render_analysis(execution.analyze):
+            print(f"-- {line}")
+    for table in execution.tables:
+        _print_table(table)
+
+
+def _report_entry(prepared, execution) -> dict:
+    if prepared.kind == "datalog":
+        entry = {
+            "outputs": list(prepared.compiled.outputs),
+            "tables": [_table_summary(table) for table in execution.tables],
+        }
+        if execution.explain:
+            entry["explain"] = list(execution.explain)
+        if execution.analyze is not None:
+            entry["rounds"] = execution.analyze["rounds"]
+        return entry
+    entry = {**_table_summary(execution.table), "plan": repr(execution.plans[0][1])}
+    if execution.explain is not None:
+        entry["explain"] = list(execution.explain)
+    if execution.analyze is not None:
+        entry["analyze"] = execution.analyze
+    return entry
 
 
 # ---------------------------------------------------------------------------

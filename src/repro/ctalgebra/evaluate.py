@@ -6,7 +6,7 @@ single c-table representing the view; positive expressions stay within the
 paper's positive existential fragment, and :class:`Difference` exercises the
 full-closure extension.
 
-Three entry points share the translation:
+One walker (:func:`_eval`) serves every entry point:
 
 * :func:`evaluate_ct` — the naive evaluator: executes the AST literally,
   with :class:`Join` nodes desugared to select-over-product.  Quadratic on
@@ -25,6 +25,12 @@ Three entry points share the translation:
   :class:`repro.relational.stats.StatsStore` cache to amortise collection
   across queries; pass an ``explain`` list to capture the ordering
   decisions and per-predicate selectivities.
+* :func:`evaluate_ct_analyzed` — the same plan under EXPLAIN ANALYZE:
+  the walker calls an observer around each node's operator
+  (:class:`repro.obs.analyze.AnalyzeObserver`).  Without an observer the
+  walker does no instrumentation work.
+* :func:`evaluate_ct_planned` — the shared body of the last two, which
+  also returns the plan it ran.
 
 ``rep(evaluate_ct(e, D)) == { e(I) : I in rep(D) }`` is validated by the
 integration tests against both the instance-level evaluator and the world
@@ -35,6 +41,8 @@ harness in ``tests/test_plan_equivalence.py``.
 """
 
 from __future__ import annotations
+
+import time
 
 from ..core.tables import CTable, TableDatabase
 from ..relational.algebra import (
@@ -66,6 +74,7 @@ __all__ = [
     "evaluate_ct_database",
     "evaluate_ct_optimized",
     "evaluate_ct_ordered",
+    "evaluate_ct_planned",
 ]
 
 
@@ -117,10 +126,7 @@ def evaluate_ct_ordered(
     selection predicate.  Semantics are unchanged: ``rep`` of the result
     equals ``rep`` of the naive result.
     """
-    snapshot = resolve_stats(stats, db)
-    planned = plan(expression, stats=snapshot, explain=explain, ordering=ordering)
-    table = _eval(planned, db, optimized=True)
-    return CTable(name, table.arity, table.rows, table.global_condition)
+    return evaluate_ct_planned(expression, db, name, stats, explain, ordering)[0]
 
 
 def evaluate_ct_analyzed(
@@ -133,102 +139,58 @@ def evaluate_ct_analyzed(
 ):
     """EXPLAIN ANALYZE: plan, execute with per-node instrumentation.
 
-    Same plan and same result as :func:`evaluate_ct_ordered` (the two
-    paths share :func:`~repro.relational.planner.plan` and execute the
-    same lifted operators), but each plan node is timed individually
-    and annotated with the cost model's estimated rows, its actual
-    output rows, the condition-cache hit/miss deltas its operator
-    charged, and — for joins — the hash-partition bucket/wild counts.
-    Returns ``(table, analysis)`` with ``analysis`` a
-    :class:`repro.obs.analyze.PlanAnalysis`.
-
-    This is a *separate* walker from :func:`_eval`, deliberately: the
-    production evaluator carries zero instrumentation hooks, so turning
-    analyze mode off costs nothing (the contract
-    ``benchmarks/bench_observability.py`` enforces).
+    Same plan and same result as :func:`evaluate_ct_ordered`, but each
+    plan node is timed individually and annotated with the cost model's
+    estimated rows, its actual output rows, the condition-cache hit/miss
+    deltas its operator charged, and — for joins — the hash-partition
+    bucket/wild counts.  Returns ``(table, analysis)`` with ``analysis``
+    a :class:`repro.obs.analyze.PlanAnalysis`.
     """
-    import time as _time
-
-    from ..core.conditions import condition_cache_stats
-    from ..obs.analyze import PlanAnalysis, cache_delta
-
-    start = _time.perf_counter()
-    before = condition_cache_stats()
-    snapshot = resolve_stats(stats, db)
-    planned = plan(expression, stats=snapshot, explain=explain, ordering=ordering)
-    plan_ms = (_time.perf_counter() - start) * 1e3
-    table, root = _eval_analyzed(planned, db, snapshot)
-    total_ms = (_time.perf_counter() - start) * 1e3
-    analysis = PlanAnalysis(
-        root,
-        plan_ms=plan_ms,
-        total_ms=total_ms,
-        condition_caches=cache_delta(before, condition_cache_stats()),
-    )
-    out = CTable(name, table.arity, table.rows, table.global_condition)
-    return out, analysis
-
-
-def _eval_analyzed(node: RAExpression, db: TableDatabase, stats: Statistics):
-    """The instrumented mirror of :func:`_eval` (optimized mode only).
-
-    Children evaluate first, so each node's wall time covers its own
-    operator application only; the condition-cache delta brackets the
-    same region.  Per-operator spans land on the active trace, if any.
-    """
-    import time as _time
-
-    from ..core.conditions import condition_cache_stats
-    from ..obs.analyze import NodeAnalysis, cache_delta, node_label
-    from ..obs.tracing import current_trace
-    from ..relational.stats import estimate
-
-    children = [_eval_analyzed(child, db, stats) for child in node.children()]
-    child_tables = [table for table, _ in children]
-    extras: dict = {}
-    before = condition_cache_stats()
-    start = _time.perf_counter()
-    if isinstance(node, Scan):
-        table = db[node.name]
-        if table.arity != node.arity:
-            raise ValueError(
-                f"scan of {node.name!r} expects arity {node.arity}, "
-                f"table has {table.arity}"
-            )
-    elif isinstance(node, Select):
-        table = select_ct(child_tables[0], node.predicates)
-    elif isinstance(node, Project):
-        table = project_ct(child_tables[0], node.columns)
-    elif isinstance(node, Join):
-        table = join_ct(child_tables[0], child_tables[1], node.on, instrument=extras)
-    elif isinstance(node, Product):
-        table = product_ct(child_tables[0], child_tables[1])
-    elif isinstance(node, Union):
-        table = union_ct(child_tables[0], child_tables[1])
-    elif isinstance(node, Intersect):
-        table = intersect_ct(child_tables[0], child_tables[1])
-    elif isinstance(node, Difference):
-        table = difference_ct(child_tables[0], child_tables[1])
-    else:
-        raise TypeError(f"unknown RA node: {node!r}")
-    ms = (_time.perf_counter() - start) * 1e3
-    caches = cache_delta(before, condition_cache_stats())
-    if caches:
-        extras["condition_caches"] = caches
-    label = node_label(node)
-    est_rows = estimate(node, stats).rows if stats is not None else None
-    trace = current_trace()
-    if trace is not None:
-        trace.add(f"op:{label}", ms, rows=len(table))
-    analysis = NodeAnalysis(
-        label,
-        est_rows,
-        len(table),
-        ms,
-        extras=extras,
-        children=[child for _, child in children],
+    table, _planned, analysis = evaluate_ct_planned(
+        expression, db, name, stats, explain, ordering, analyze=True
     )
     return table, analysis
+
+
+def evaluate_ct_planned(
+    expression: RAExpression,
+    db: TableDatabase,
+    name: str = "view",
+    stats: Statistics | None = None,
+    explain: list[str] | None = None,
+    ordering: str = "dp",
+    analyze: bool = False,
+):
+    """Plan with statistics and execute; returns ``(table, planned, analysis)``.
+
+    The body of :func:`evaluate_ct_ordered` and :func:`evaluate_ct_analyzed`,
+    for callers that also show the plan that ran.  With ``analyze`` the
+    walker runs under an :class:`~repro.obs.analyze.AnalyzeObserver` and
+    ``analysis`` is its :class:`~repro.obs.analyze.PlanAnalysis`; without
+    it ``analysis`` is ``None`` and the walker is uninstrumented.
+    """
+    if analyze:
+        from ..core.conditions import condition_cache_stats
+        from ..obs.analyze import AnalyzeObserver, PlanAnalysis, cache_delta
+
+        start = time.perf_counter()
+        before = condition_cache_stats()
+    snapshot = resolve_stats(stats, db)
+    planned = plan(expression, stats=snapshot, explain=explain, ordering=ordering)
+    if not analyze:
+        table = _eval(planned, db, optimized=True)
+        analysis = None
+    else:
+        plan_ms = (time.perf_counter() - start) * 1e3
+        observer = AnalyzeObserver(snapshot)
+        table = _eval(planned, db, optimized=True, observe=observer)
+        analysis = PlanAnalysis(
+            observer.root,
+            plan_ms=plan_ms,
+            total_ms=(time.perf_counter() - start) * 1e3,
+            condition_caches=cache_delta(before, condition_cache_stats()),
+        )
+    return CTable(name, table.arity, table.rows, table.global_condition), planned, analysis
 
 
 def evaluate_ct_database(
@@ -258,7 +220,26 @@ def evaluate_ct_database(
     return TableDatabase(tables, db.global_condition())
 
 
-def _eval(node: RAExpression, db: TableDatabase, optimized: bool) -> CTable:
+def _eval(node: RAExpression, db: TableDatabase, optimized: bool, observe=None) -> CTable:
+    """The plan walker: evaluate the children, then apply the node's operator.
+
+    Unless ``optimized``, :class:`Join` nodes run as select-over-product
+    (the naive evaluator).  ``observe``, if given, is called as
+    ``observe(node, run)`` once per node after its children ran;
+    ``run(extras)`` applies the operator and returns its table, and the
+    observer returns that table.  EXPLAIN ANALYZE is such an observer.
+    """
+    if not optimized and isinstance(node, Join):
+        node = node.as_select_product()
+    inputs = [_eval(child, db, optimized, observe) for child in node.children()]
+    if observe is None:
+        return _apply(node, inputs, db)
+    return observe(node, lambda extras: _apply(node, inputs, db, extras))
+
+
+def _apply(node: RAExpression, inputs: list, db: TableDatabase, extras=None) -> CTable:
+    """One node's lifted operator over its evaluated inputs.  ``extras``
+    receives the join's hash-partition shape (see :func:`join_ct`)."""
     if isinstance(node, Scan):
         table = db[node.name]
         if table.arity != node.arity:
@@ -267,23 +248,17 @@ def _eval(node: RAExpression, db: TableDatabase, optimized: bool) -> CTable:
             )
         return table
     if isinstance(node, Select):
-        return select_ct(_eval(node.child, db, optimized), node.predicates)
+        return select_ct(inputs[0], node.predicates)
     if isinstance(node, Project):
-        return project_ct(_eval(node.child, db, optimized), node.columns)
+        return project_ct(inputs[0], node.columns)
     if isinstance(node, Join):
-        if optimized:
-            return join_ct(
-                _eval(node.left, db, optimized),
-                _eval(node.right, db, optimized),
-                node.on,
-            )
-        return _eval(node.as_select_product(), db, optimized)
+        return join_ct(inputs[0], inputs[1], node.on, instrument=extras)
     if isinstance(node, Product):
-        return product_ct(_eval(node.left, db, optimized), _eval(node.right, db, optimized))
+        return product_ct(*inputs)
     if isinstance(node, Union):
-        return union_ct(_eval(node.left, db, optimized), _eval(node.right, db, optimized))
+        return union_ct(*inputs)
     if isinstance(node, Intersect):
-        return intersect_ct(_eval(node.left, db, optimized), _eval(node.right, db, optimized))
+        return intersect_ct(*inputs)
     if isinstance(node, Difference):
-        return difference_ct(_eval(node.left, db, optimized), _eval(node.right, db, optimized))
+        return difference_ct(*inputs)
     raise TypeError(f"unknown RA node: {node!r}")

@@ -24,8 +24,8 @@ Like :func:`join_ct`, the binary tuple-matching operators
 (:func:`intersect_ct`, :func:`difference_ct`) hash-partition
 constant-ground rows by their full term tuple and pair only
 variable-bearing rows against the whole other side, so the planner's cost
-estimates hold for all binary operators; the pairwise originals survive
-as ``*_ct_pairwise`` differential oracles.
+estimates hold for all binary operators; the pairwise originals live on
+as differential oracles in ``tests/oracles.py``.
 
 Positive operators never grow conditions beyond polynomial size for a
 fixed expression; difference multiplies condition size by the right-hand
@@ -58,6 +58,7 @@ from ..relational.algebra import (
     Predicate,
     validate_join_columns,
 )
+from ..relational.stats import condition_pins
 
 __all__ = [
     "select_ct",
@@ -152,88 +153,37 @@ def product_ct(left: CTable, right: CTable, name: str = "product") -> CTable:
     )
 
 
-def _join_partition(
-    table: CTable, columns: Sequence[int]
-) -> tuple[dict[tuple, list[Row]], list[Row], list[Row]]:
-    """Split live rows into hash buckets (all join terms constant **or
-    condition-pinned to a constant**) and the wild remainder.
-
-    Returns ``(buckets, wild, alive)``: ``buckets`` maps join-key tuples
-    to rows, ``wild`` holds rows with an unconstrained variable in some
-    join column, ``alive`` is every surviving row (dead rows — local
-    condition trivially false — are pruned here and contribute to
-    nothing).
-
-    A variable join term whose row condition *pins* it to a constant
-    (``Eq(x, c)`` entailed by the local condition, or by the table's
-    global condition — the same :func:`~repro.relational.stats.
-    condition_pins` mining the cost model uses) hashes under the pinned
-    constant: in every world where the row exists the variable equals
-    that constant, so pairs outside the bucket would only ever conjoin a
-    trivially-false join equality.  This makes execution match the cost
-    model, which already charges pinned rows ground-row cost; before,
-    pinned rows paid the wild pair-with-everything path (the pinned-key
-    section of ``benchmarks/bench_join_planner.py`` guards the gap).
-    Domain pins (a small ``Or`` of constants) stay wild: they would need
-    one bucket per alternative.
-    """
-    from ..relational.stats import condition_pins
-
-    base_equalities = tuple(table.global_condition.equalities())
-    base_pins: dict | None = None
-    buckets: dict[tuple, list[Row]] = {}
-    wild: list[Row] = []
-    alive: list[Row] = []
-    for row in table.rows:
-        if condition_is_trivially_false(row.condition):
-            continue
-        alive.append(row)
-        key = tuple(row.terms[c] for c in columns)
-        if all(isinstance(t, Constant) for t in key):
-            buckets.setdefault(key, []).append(row)
-            continue
-        if row.has_local_condition():
-            pins = condition_pins(row.condition, base_equalities)
-        else:
-            if base_pins is None:
-                base_pins = condition_pins(None, base_equalities)
-            pins = base_pins
-        resolved = tuple(
-            t if isinstance(t, Constant) else pins.get(t) for t in key
-        )
-        if all(isinstance(t, Constant) for t in resolved):
-            buckets.setdefault(resolved, []).append(row)
-        else:
-            wild.append(row)
-    return buckets, wild, alive
-
-
 #: Sentinel for rows whose local condition is trivially false — they
 #: belong to no bucket and no world.
 _DEAD = object()
 
 
 class JoinPartition:
-    """A maintained hash partition of one join operand for fixed columns.
+    """A hash partition of one join operand for fixed join columns.
 
-    :func:`_join_partition` rebuilds its buckets from scratch on every
-    call — fine for one-shot evaluation, wasteful for incremental view
-    maintenance, where a one-row dimension-side insert re-partitions the
-    big cached side on every update.  ``JoinPartition`` is the
-    persistent counterpart: built once from a table, then kept in sync
-    with :meth:`add_rows` / :meth:`remove_rows` as the cached operand
-    gains or loses rows, and passed back into :func:`join_ct` via its
-    ``left_partition`` / ``right_partition`` parameters.
+    Splits the live rows into hash ``buckets`` (all join terms constant
+    **or condition-pinned to a constant**) and the ``wild`` remainder;
+    ``alive`` is every surviving row (dead rows — local condition
+    trivially false — are pruned and contribute to nothing).
 
-    Classification (bucket key, wild, or dead) matches
-    :func:`_join_partition` exactly, including condition-pinned
-    variables hashing under their pinned constants.  Classification is
-    deterministic per row, so a removal finds the row in exactly the
-    collection an insertion put it in.
+    A variable join term whose row condition *pins* it to a constant
+    (``Eq(x, c)`` entailed by the local or the table's global condition —
+    the :func:`~repro.relational.stats.condition_pins` mining the cost
+    model uses) hashes under the pinned constant: in every world where
+    the row exists the variable equals that constant, so pairs outside
+    the bucket would only conjoin a trivially-false join equality.
+    Execution thus matches the cost model, which charges pinned rows
+    ground-row cost (``benchmarks/bench_join_planner.py`` guards the
+    gap).  Domain pins (a small ``Or`` of constants) stay wild.
 
-    The holder is responsible for keeping the partition's row set equal
-    to the operand's row set; :func:`join_ct` trusts a supplied
-    partition and never looks at the operand's rows.
+    :func:`join_ct` builds a fresh partition per call; incremental view
+    maintenance keeps one per cached operand in sync with
+    :meth:`add_rows` / :meth:`remove_rows` and passes it back through
+    ``left_partition`` / ``right_partition``, so a one-row insert does
+    not re-partition the big cached side.  Classification is
+    deterministic per row, so a removal finds the row where its
+    insertion put it.  :func:`join_ct` trusts a supplied partition and
+    never looks at the operand's rows.
     """
 
     __slots__ = ("columns", "buckets", "wild", "alive", "_base_equalities", "_base_pins")
@@ -255,12 +205,11 @@ class JoinPartition:
 
     def _classify(self, row: Row):
         """The bucket key for ``row``, ``None`` for wild, ``_DEAD`` for dead."""
-        from ..relational.stats import condition_pins
-
         if condition_is_trivially_false(row.condition):
             return _DEAD
-        key = tuple(row.terms[c] for c in self.columns)
-        if all(isinstance(t, Constant) for t in key):
+        terms = row.terms
+        key = tuple([terms[c] for c in self.columns])
+        if all([isinstance(t, Constant) for t in key]):
             return key
         if row.has_local_condition():
             pins = condition_pins(row.condition, self._base_equalities)
@@ -274,15 +223,17 @@ class JoinPartition:
         return None
 
     def add_rows(self, rows: Iterable[Row]) -> None:
+        # Bound locals: this loop runs once per operand row of every join.
+        classify, alive, wild, buckets = self._classify, self.alive, self.wild, self.buckets
         for row in rows:
-            key = self._classify(row)
+            key = classify(row)
             if key is _DEAD:
                 continue
-            self.alive.append(row)
+            alive.append(row)
             if key is None:
-                self.wild.append(row)
+                wild.append(row)
             else:
-                self.buckets.setdefault(key, []).append(row)
+                buckets.setdefault(key, []).append(row)
 
     def remove_rows(self, rows: Iterable[Row]) -> None:
         """Remove rows previously added; unknown rows are ignored (a dead
@@ -329,7 +280,7 @@ def join_ct(
       their local (or the table's global) condition hash under the
       pinned constant — in every world where such a row exists the
       variable equals the pin, so cross-bucket pairs would only conjoin
-      trivially-false equalities (see :func:`_join_partition`);
+      trivially-false equalities (see :class:`JoinPartition`);
     * rows with an **unconstrained variable** in a join column cannot be
       hashed (the variable may equal anything), so they fall back to
       pairing with every live row on the other side, conjoining the join
@@ -359,28 +310,26 @@ def join_ct(
     lcols = [l for l, _ in pairs]
     rcols = [r for _, r in pairs]
 
-    if left_partition is not None:
-        if left_partition.columns != tuple(lcols):
-            raise ValueError(
-                f"left partition is over columns {left_partition.columns}, "
-                f"join needs {tuple(lcols)}"
-            )
-        lbuckets, lwild = left_partition.buckets, left_partition.wild
-    else:
-        lbuckets, lwild, _ = _join_partition(left, lcols)
-    if right_partition is not None:
-        if right_partition.columns != tuple(rcols):
-            raise ValueError(
-                f"right partition is over columns {right_partition.columns}, "
-                f"join needs {tuple(rcols)}"
-            )
-        rbuckets, rwild, ralive = (
-            right_partition.buckets,
-            right_partition.wild,
-            right_partition.alive,
+    if left_partition is None:
+        left_partition = JoinPartition(left, lcols)
+    elif left_partition.columns != tuple(lcols):
+        raise ValueError(
+            f"left partition is over columns {left_partition.columns}, "
+            f"join needs {tuple(lcols)}"
         )
-    else:
-        rbuckets, rwild, ralive = _join_partition(right, rcols)
+    if right_partition is None:
+        right_partition = JoinPartition(right, rcols)
+    elif right_partition.columns != tuple(rcols):
+        raise ValueError(
+            f"right partition is over columns {right_partition.columns}, "
+            f"join needs {tuple(rcols)}"
+        )
+    lbuckets, lwild = left_partition.buckets, left_partition.wild
+    rbuckets, rwild, ralive = (
+        right_partition.buckets,
+        right_partition.wild,
+        right_partition.alive,
+    )
 
     if instrument is not None:
         instrument["left_buckets"] = len(lbuckets)
@@ -572,63 +521,6 @@ def difference_ct(left: CTable, right: CTable, name: str = "difference") -> CTab
             continue
         parts: list[BoolCondition] = [lrow.condition]
         for rrow in partition.matching_rows(lrow):
-            cond = _match_condition(lrow, rrow)
-            if cond is None:
-                continue
-            if cond == BOOL_TRUE:
-                parts = None  # type: ignore[assignment]
-                break
-            parts.append(cond.negated())
-        if parts is None:
-            continue
-        built = _with_condition(lrow.terms, parts)
-        if built is not None:
-            rows.append(built)
-    return CTable(
-        name,
-        left.arity,
-        rows,
-        conjoin(left.global_condition, right.global_condition),
-    )
-
-
-def intersect_ct_pairwise(left: CTable, right: CTable, name: str = "intersect") -> CTable:
-    """The pairwise O(|L| x |R|) intersection: the differential oracle for
-    :func:`intersect_ct` (see ``tests/test_setops_partition.py``)."""
-    if left.arity != right.arity:
-        raise ValueError(f"arity mismatch: {left.arity} vs {right.arity}")
-    rows = []
-    for lrow in left.rows:
-        matches = [
-            cond
-            for rrow in right.rows
-            if (cond := _match_condition(lrow, rrow)) is not None
-        ]
-        if not matches:
-            continue
-        disjunction: BoolCondition = (
-            matches[0] if len(matches) == 1 else BoolOr(tuple(matches)).flattened()
-        )
-        built = _with_condition(lrow.terms, [lrow.condition, disjunction])
-        if built is not None:
-            rows.append(built)
-    return CTable(
-        name,
-        left.arity,
-        rows,
-        conjoin(left.global_condition, right.global_condition),
-    )
-
-
-def difference_ct_pairwise(left: CTable, right: CTable, name: str = "difference") -> CTable:
-    """The pairwise O(|L| x |R|) difference: the differential oracle for
-    :func:`difference_ct`."""
-    if left.arity != right.arity:
-        raise ValueError(f"arity mismatch: {left.arity} vs {right.arity}")
-    rows = []
-    for lrow in left.rows:
-        parts: list[BoolCondition] = [lrow.condition]
-        for rrow in right.rows:
             cond = _match_condition(lrow, rrow)
             if cond is None:
                 continue

@@ -1,15 +1,16 @@
 """EXPLAIN ANALYZE data structures: per-operator estimated vs actual.
 
 The planner's ``--explain`` output shows what the cost model *expected*;
-this module holds what actually happened when the plan ran.  The
-instrumented evaluator (:func:`repro.ctalgebra.evaluate.
-evaluate_ct_analyzed`) builds one :class:`NodeAnalysis` per plan node —
-operator label, estimated rows (from :func:`repro.relational.stats.
-estimate` over the same statistics the planner costed with), actual
-output rows, own wall milliseconds (children excluded), plus operator
-extras: hash-partition bucket/wild counts for joins and the
-condition-cache hit/miss deltas charged while the operator ran.  The
-whole tree rolls up into a :class:`PlanAnalysis`.
+this module holds what actually happened when the plan ran.  Under
+:func:`repro.ctalgebra.evaluate.evaluate_ct_analyzed` the plan walker
+calls an :class:`AnalyzeObserver` around each node's operator, and the
+observer builds one :class:`NodeAnalysis` per plan node — operator
+label, estimated rows (from :func:`repro.relational.stats.estimate`
+over the same statistics the planner costed with), actual output rows,
+own wall milliseconds (children excluded), plus operator extras:
+hash-partition bucket/wild counts for joins and the condition-cache
+hit/miss deltas charged while the operator ran.  The whole tree rolls
+up into a :class:`PlanAnalysis`.
 
 Everything serializes to plain JSON (``to_json``) so the same payload
 crosses the server wire, lands in ``QueryResult.analyze``, and renders
@@ -25,9 +26,12 @@ actually goes (ROADMAP item 2's prerequisite).
 
 from __future__ import annotations
 
+import time
+
 from typing import Mapping
 
 __all__ = [
+    "AnalyzeObserver",
     "NodeAnalysis",
     "PlanAnalysis",
     "cache_delta",
@@ -145,6 +149,54 @@ class PlanAnalysis:
 
     def lines(self) -> list[str]:
         return render_analysis(self.to_json())
+
+
+class AnalyzeObserver:
+    """EXPLAIN ANALYZE as an observer of the plan walker.
+
+    Called as ``observer(node, run)`` once per node, children first, it
+    times ``run(extras)`` (the node's operator alone), brackets it with
+    condition-cache counters and records a :class:`NodeAnalysis`, which
+    waits on a stack until its parent claims it; :attr:`root` is the
+    finished tree.  Each operator also lands as an ``op:<label>`` span
+    on the active trace, if any.
+    """
+
+    __slots__ = ("stats", "_done")
+
+    def __init__(self, stats) -> None:
+        self.stats = stats
+        self._done: list[NodeAnalysis] = []
+
+    @property
+    def root(self) -> NodeAnalysis:
+        return self._done[-1]
+
+    def __call__(self, node, run):
+        from ..core.conditions import condition_cache_stats
+        from ..relational.stats import estimate
+        from .tracing import current_trace
+
+        extras: dict = {}
+        before = condition_cache_stats()
+        start = time.perf_counter()
+        table = run(extras)
+        ms = (time.perf_counter() - start) * 1e3
+        caches = cache_delta(before, condition_cache_stats())
+        if caches:
+            extras["condition_caches"] = caches
+        label = node_label(node)
+        est_rows = estimate(node, self.stats).rows if self.stats is not None else None
+        trace = current_trace()
+        if trace is not None:
+            trace.add(f"op:{label}", ms, rows=len(table))
+        first_child = len(self._done) - len(node.children())
+        children = self._done[first_child:]
+        del self._done[first_child:]
+        self._done.append(
+            NodeAnalysis(label, est_rows, len(table), ms, extras=extras, children=children)
+        )
+        return table
 
 
 def _node_line(node: dict, indent: int) -> str:

@@ -34,9 +34,6 @@ On top of the counts sits the cardinality model (:func:`estimate`):
   disabled);
 * inequality selections keep the complementary fraction (a fixed
   :data:`_NEQ_SELECTIVITY` without histograms);
-* range lookups are supported by :meth:`ColumnHistogram.range_fraction`
-  (the algebra currently has no range predicate; the histogram API is
-  ready for one);
 * equi-joins combine per-side histograms: matched MCV mass is summed
   exactly and the remainders meet at the textbook
   ``1/max(distinct_l, distinct_r)`` rate, which degrades to exactly the
@@ -278,36 +275,6 @@ class ColumnHistogram:
         """Estimated fraction of cells different from ``value``."""
         return max(0.0, 1.0 - self.eq_fraction(value))
 
-    def range_fraction(
-        self,
-        lo: Constant | None = None,
-        hi: Constant | None = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> float:
-        """Estimated fraction of cells in the ``[lo, hi]`` range.
-
-        ``None`` bounds are open-ended.  MCVs inside the range count
-        exactly; buckets count fully when contained, and partially
-        overlapped buckets contribute by linear interpolation over
-        numeric bounds (half their mass when the values are not
-        numbers).  The relational algebra has no range predicate yet;
-        this is the lookup a future ``ColLtConst``-style predicate (or an
-        external consumer of the statistics) would be charged with.
-        """
-        if self.total <= 0:
-            return 0.0
-        lo_key = lo.sort_key() if lo is not None else None
-        hi_key = hi.sort_key() if hi is not None else None
-        mass = 0.0
-        for value, count in self.mcvs.items():
-            key = value.sort_key()
-            if _key_in_range(key, lo_key, hi_key, include_lo, include_hi):
-                mass += count
-        for bucket in self.buckets:
-            mass += bucket.count * _bucket_overlap(bucket, lo, hi, lo_key, hi_key)
-        return min(mass / self.total, 1.0)
-
     def match_fraction(self, other: "ColumnHistogram") -> tuple[float, float, float]:
         """Join-matching summary against another column's histogram.
 
@@ -376,40 +343,6 @@ def _equi_depth(
     if distinct and lo is not None:
         out.append(_Bucket(lo, sorted_counts[-1][0], acc, distinct))
     return out
-
-
-def _key_in_range(key, lo_key, hi_key, include_lo: bool, include_hi: bool) -> bool:
-    if lo_key is not None and (key < lo_key or (key == lo_key and not include_lo)):
-        return False
-    if hi_key is not None and (key > hi_key or (key == hi_key and not include_hi)):
-        return False
-    return True
-
-
-def _bucket_overlap(bucket: _Bucket, lo, hi, lo_key, hi_key) -> float:
-    """Fraction of a bucket's mass inside the query range: 1 when
-    contained, 0 when disjoint, interpolated (numeric) or 0.5 otherwise."""
-    if lo_key is not None and bucket.hi_key < lo_key:
-        return 0.0
-    if hi_key is not None and bucket.lo_key > hi_key:
-        return 0.0
-    if (lo_key is None or lo_key <= bucket.lo_key) and (
-        hi_key is None or hi_key >= bucket.hi_key
-    ):
-        return 1.0
-    lo_val = bucket.lo.value
-    hi_val = bucket.hi.value
-    numeric = (
-        isinstance(lo_val, (int, float))
-        and isinstance(hi_val, (int, float))
-        and (lo is None or isinstance(lo.value, (int, float)))
-        and (hi is None or isinstance(hi.value, (int, float)))
-    )
-    if not numeric or hi_val <= lo_val:
-        return 0.5
-    clip_lo = max(lo_val, lo.value) if lo is not None else lo_val
-    clip_hi = min(hi_val, hi.value) if hi is not None else hi_val
-    return max(0.0, min(1.0, (clip_hi - clip_lo) / (hi_val - lo_val)))
 
 
 # ---------------------------------------------------------------------------

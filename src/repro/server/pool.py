@@ -25,7 +25,7 @@ Three cooperating pieces, composed by :class:`QueryDispatcher`:
 
 :class:`RequestCache`
     A bounded LRU of query results keyed by ``(database, version,
-    plan_fingerprint, options)``.  Versions are monotone per session, so
+    fingerprint, options)``.  Versions are monotone per session, so
     invalidation is free: a version bump simply stops producing the old
     key.  Hit/miss counters feed ``/stats``.
 
@@ -33,14 +33,15 @@ Three cooperating pieces, composed by :class:`QueryDispatcher`:
     A rolling window of per-request latencies with nearest-rank
     p50/p99 readout, surfaced in ``/stats`` and the serving benchmark.
 
-**Degradation ladder** (every rung answers at a well-defined version, so
-the snapshot-isolation invariant survives any failure): request-cache
-hit → snapshot view match → worker pool → in-process evaluation.  The
-pool rung is skipped when the pool is disabled (``workers=0``) and
-degrades per-request when no worker is idle in time, a worker dies
-(it is respawned in the background), the payload refuses to pickle, or
-the worker fails internally — the dispatcher then falls through to the
-same in-process path ``DatabaseSession.query`` always provided.
+**Degradation ladder** (every rung answers at the version of the one
+snapshot the dispatch read, so the snapshot-isolation invariant survives
+any failure): request-cache hit → snapshot view match → worker pool →
+in-process evaluation, all through the one pipeline of
+:mod:`repro.queries.prepared`.  The pool rung is skipped when the pool
+is disabled (``workers=0``) and degrades per-request when no worker is
+idle in time, a worker dies (it is respawned in the background), the
+payload refuses to pickle, or the worker fails internally — the
+dispatcher then falls through to in-process evaluation.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ import time
 
 from collections import OrderedDict
 
-from ..core.tables import CTable, TableDatabase
+from ..core.tables import TableDatabase
 from ..obs.metrics import CounterGroup, Histogram
 from ..obs.tracing import SlowQueryLog, current_trace, new_trace_id, start_trace
+from ..queries.prepared import QueryError, execute, prepare
 from .session import DatabaseSession, QueryResult, SessionError, Snapshot
 
 __all__ = [
@@ -79,46 +81,23 @@ DEFAULT_POOL_TIMEOUT = 30.0
 
 
 def _evaluate(db: TableDatabase, stats, query_text: str, options: dict) -> tuple:
-    """Worker-side query evaluation; mirrors ``DatabaseSession.query``
-    minus views (view matches are answered in the main process, where
-    the snapshot cut lives).
-
-    The dispatcher's trace id rides ``options["trace_id"]`` and is
-    echoed back in the ``"ok"`` reply, so a response served by any
-    worker carries the same trace id the dispatching thread assigned —
+    """Worker-side evaluation: the in-process ``prepare`` and ``execute``
+    on the query text (plans do not pickle; views are matched in the
+    main process).  The dispatcher's trace id rides
+    ``options["trace_id"]`` and is echoed back in the ``"ok"`` reply —
     one id per request, across the process boundary.
     """
-    from ..ctalgebra.evaluate import evaluate_ct, evaluate_ct_ordered
-    from ..relational.parser import ParseError, parse_query
-    from ..relational.planner import PlanError, ra_of_ucq
-
     trace_id = options.get("trace_id")
     try:
-        query = parse_query(query_text)
-        name = query.rules[0].head.pred
-        expression = ra_of_ucq(query)
-    except (ParseError, PlanError, ValueError) as exc:
-        return ("err", "session", f"query: {exc}")
-    naive = bool(options.get("naive"))
-    explain_lines = [] if options.get("explain") and not naive else None
-    try:
         with start_trace(name="worker", trace_id=trace_id):
-            if naive:
-                table = evaluate_ct(expression, db, name=name)
-            else:
-                table = evaluate_ct_ordered(
-                    expression,
-                    db,
-                    name=name,
-                    stats=stats,
-                    explain=explain_lines,
-                    ordering=options.get("ordering") or "dp",
-                )
-    except KeyError as exc:
-        return ("err", "session", f"evaluation: unknown relation {exc}")
-    except ValueError as exc:
-        return ("err", "session", f"evaluation: {exc}")
-    return ("ok", table, explain_lines, trace_id)
+            prepared = prepare(query_text, ordering=options.get("ordering") or "dp")
+            execution = execute(
+                prepared, db, stats,
+                naive=bool(options.get("naive")), explain=bool(options.get("explain")),
+            )
+    except QueryError as exc:
+        return ("err", "session", str(exc))
+    return ("ok", execution.table, execution.explain, trace_id)
 
 
 def _worker_main(conn) -> None:
@@ -389,7 +368,7 @@ class WorkerPool:
 
 
 class RequestCache:
-    """A bounded LRU of query results keyed by version + plan fingerprint.
+    """A bounded LRU of query results keyed by version + query fingerprint.
 
     Soundness is the version key: a session's versions are monotone and
     every cached result was evaluated at exactly the version in its key,
@@ -490,10 +469,9 @@ class QueryDispatcher:
     returns ``(QueryResult, served_by)`` with ``served_by`` one of
     ``"cache"``, ``"view"``, ``"pool"``, ``"inline"``.
 
-    Cache inserts always use the version the result was actually
-    evaluated at: the inline fallback takes its own (possibly newer)
-    snapshot, and caching its answer under the older dispatch-time
-    version would be an isolation violation.
+    Every rung answers at the version of the one snapshot the dispatch
+    read, so a result is always cached under the version it is correct
+    for, however many versions a writer publishes meanwhile.
     """
 
     def __init__(
@@ -550,16 +528,10 @@ class QueryDispatcher:
         served_by = "error"
         try:
             with start_trace(name="dispatch", trace_id=trace_id):
-                if datalog:
-                    result, served_by = self._query_datalog(
-                        session, query_text, ordering, naive, use_views,
-                        explain, analyze,
-                    )
-                else:
-                    result, served_by = self._query(
-                        session, query_text, ordering, naive, use_views,
-                        explain, analyze,
-                    )
+                result, served_by = self._ladder(
+                    session, query_text, ordering, naive, use_views, explain,
+                    datalog, analyze,
+                )
         except BaseException:
             self._bump("errors")
             raise
@@ -575,95 +547,45 @@ class QueryDispatcher:
             self._bump("analyze_answers")
         return result, served_by
 
-    def _query_datalog(
-        self, session, query_text, ordering, naive, use_views, explain, analyze=False
+    def _ladder(
+        self, session, query_text, ordering, naive, use_views, explain, datalog, analyze
     ):
-        """Recursive Datalog dispatch: cache → session (view match + fixpoint).
-
-        The worker pool rung is skipped — workers speak the UCQ wire
-        protocol only — so the ladder here is cache → view → inline.
-        The cache key is the program's Datalog fingerprint (rule-set
-        canonical, so reordered rule text still hits).
-        """
-        from ..queries.fixpoint import datalog_fingerprint
-
-        program = session.compile_datalog(query_text, ordering or session.ordering)
-        cacheable = self.cache is not None and not explain and not analyze
-        key = None
-        if cacheable:
-            fingerprint = datalog_fingerprint(program)
-            key = (session.name, session.version, fingerprint, ordering, naive, use_views)
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit, "cache"
-        result = session.query(
-            query_text,
-            ordering=ordering,
-            naive=naive,
-            use_views=use_views,
-            explain=explain,
-            datalog=True,
-            analyze=analyze,
-        )
-        if cacheable:
-            if result.version != key[1]:
-                key = (session.name, result.version) + key[2:]
-            self.cache.put(key, result)
-        if result.answered_by_view is not None:
-            return result, "view"
-        return result, "inline"
-
-    def _query(self, session, query_text, ordering, naive, use_views, explain, analyze=False):
-        from ..relational.planner import plan_fingerprint
-
-        head, expression = session.compile_query(query_text)
+        """cache → view → pool (UCQs only) → inline, all at one snapshot,
+        the query prepared once.  A program with several outputs has no
+        fingerprint and is never cached."""
+        prepared = session.prepare(query_text, datalog=datalog, ordering=ordering)
         snap = session.snapshot()
-        cacheable = self.cache is not None and not explain and not analyze
-        fingerprint = plan_fingerprint(expression) if (cacheable or use_views) else None
-
         key = None
-        if cacheable:
-            key = (session.name, snap.version, fingerprint, ordering, naive, use_views)
+        if (
+            self.cache is not None and not explain and not analyze
+            and prepared.fingerprint is not None
+        ):
+            key = (session.name, snap.version, prepared.fingerprint, ordering, naive, use_views)
             hit = self.cache.get(key)
             if hit is not None:
                 return hit, "cache"
-
-        if use_views:
-            for view_name, _query, view_fingerprint, table in snap.views:
-                if view_fingerprint == fingerprint:
-                    out = CTable(head, table.arity, table.rows, table.global_condition)
-                    result = QueryResult(out, snap.version, answered_by_view=view_name)
-                    if cacheable:
-                        self.cache.put(key, result)
-                    return result, "view"
-
-        if self.pool is not None and not analyze:
+        result = session.answer_from_view(prepared, snap, naive=naive, use_views=use_views)
+        served_by = "view"
+        if result is None and self.pool is not None and prepared.kind == "ucq" and not analyze:
             active = current_trace()
             result = self.pool.query(
                 session.name,
                 snap,
                 query_text,
-                ordering=ordering or session.ordering,
+                ordering=prepared.ordering,
                 naive=naive,
                 explain=explain,
                 trace_id=active.trace_id if active is not None else None,
             )
-            if result is not None:
-                if cacheable:
-                    self.cache.put(key, result)
-                return result, "pool"
-
-        result = session.query(
-            query_text, ordering=ordering, naive=naive, use_views=False,
-            explain=explain, analyze=analyze,
-        )
-        if cacheable:
-            if result.version != snap.version:
-                # The fallback snapshotted later than we did; key the
-                # entry by the version it truly answers for.
-                key = (session.name, result.version, fingerprint, ordering, naive, use_views)
+            served_by = "pool"
+        if result is None:
+            result = session.evaluate(
+                prepared, snap, naive=naive, explain=explain, analyze=analyze
+            )
+            served_by = "inline"
+        if key is not None:
             self.cache.put(key, result)
-        return result, "inline"
+        return result, served_by
 
     def stats(self) -> dict:
         """The ``/stats`` payload: dispatch counters, cache, pool, latency."""

@@ -37,8 +37,9 @@ import threading
 from typing import Sequence
 
 from ..core.tables import CTable, TableDatabase
-from ..ctalgebra.evaluate import evaluate_ct, evaluate_ct_ordered
 from ..extensions.updates import apply_update
+from ..obs.tracing import current_trace
+from ..queries.prepared import PreparedQuery, QueryError, execute, match_view, prepare
 from ..relational.stats import Statistics, StatsStore
 from ..views import ViewManager
 
@@ -50,6 +51,11 @@ _OP_SHAPES = {"insert": 3, "delete": 3, "modify": 4}
 
 class SessionError(ValueError):
     """A user-level session error: bad query, bad op, unknown view."""
+
+
+def _trace_id() -> "str | None":
+    trace = current_trace()
+    return trace.trace_id if trace is not None else None
 
 
 class Snapshot:
@@ -210,173 +216,64 @@ class DatabaseSession:
         analyze: bool = False,
     ) -> QueryResult:
         """Evaluate a UCQ — or, with ``datalog=True``, a recursive
-        Datalog program — over the current snapshot.
-
-        Entirely lock-free: planning and evaluation run against the
-        snapshot's database and statistics, so a concurrent writer can
-        publish any number of new versions mid-query without this
-        reader observing them.
-
-        With ``analyze=True`` (and not ``naive``) the query executes
-        through the instrumented walker and the result carries a
-        JSON-ready EXPLAIN ANALYZE payload in ``QueryResult.analyze``
-        (per-operator estimated vs actual rows, wall time, condition
-        cache deltas; per-round delta sizes for Datalog).
+        Datalog program, answering with its first output — over the
+        current snapshot: prepared once, then matched against the view
+        cut (``use_views``) or evaluated.  Lock-free: writers may publish
+        new versions mid-query without this reader observing them.
+        ``analyze=True`` (not ``naive``) fills ``QueryResult.analyze``
+        with the JSON-ready EXPLAIN ANALYZE payload.
         """
-        from ..obs.tracing import current_trace, span
-
-        if datalog:
-            return self._query_datalog(
-                query_text, ordering=ordering, naive=naive,
-                use_views=use_views, explain=explain, analyze=analyze,
-            )
-        with span("session.compile", db=self.name):
-            name, expression = self._compile(query_text)
+        prepared = self.prepare(query_text, datalog=datalog, ordering=ordering)
         snap = self._snapshot
-        trace = current_trace()
-        trace_id = trace.trace_id if trace is not None else None
-        if use_views:
-            from ..relational.planner import plan_fingerprint
+        result = self.answer_from_view(prepared, snap, naive=naive, use_views=use_views)
+        if result is None:
+            result = self.evaluate(prepared, snap, naive=naive, explain=explain, analyze=analyze)
+        return result
 
-            wanted = plan_fingerprint(expression)
-            for view_name, _query, fingerprint, table in snap.views:
-                if fingerprint == wanted:
-                    result = CTable(name, table.arity, table.rows, table.global_condition)
-                    return QueryResult(
-                        result, snap.version, answered_by_view=view_name,
-                        trace_id=trace_id,
-                    )
-        explain_lines: "list[str] | None" = [] if explain and not naive else None
-        analysis = None
+    def prepare(
+        self, query_text: str, datalog: bool = False, ordering: "str | None" = None
+    ) -> PreparedQuery:
+        """Compile query text once, with the session's default ordering
+        unless ``ordering`` is given; bad text raises :class:`SessionError`."""
         try:
-            with span("session.evaluate", naive=naive):
-                if naive:
-                    table = evaluate_ct(expression, snap.db, name=name)
-                elif analyze:
-                    from ..ctalgebra.evaluate import evaluate_ct_analyzed
+            return prepare(query_text, datalog=datalog, ordering=ordering or self._ordering)
+        except QueryError as exc:
+            raise SessionError(str(exc)) from exc
 
-                    table, analysis = evaluate_ct_analyzed(
-                        expression,
-                        snap.db,
-                        name=name,
-                        stats=snap.stats,
-                        explain=explain_lines,
-                        ordering=ordering or self._ordering,
-                    )
-                else:
-                    table = evaluate_ct_ordered(
-                        expression,
-                        snap.db,
-                        name=name,
-                        stats=snap.stats,
-                        explain=explain_lines,
-                        ordering=ordering or self._ordering,
-                    )
-        except KeyError as exc:
-            raise SessionError(f"evaluation: unknown relation {exc}") from exc
-        except ValueError as exc:
-            raise SessionError(f"evaluation: {exc}") from exc
-        return QueryResult(
-            table, snap.version, explain=explain_lines,
-            trace_id=trace_id,
-            analyze=analysis.to_json() if analysis is not None else None,
-        )
+    @staticmethod
+    def answer_from_view(
+        prepared: PreparedQuery, snap: Snapshot, naive: bool = False, use_views: bool = False
+    ) -> "QueryResult | None":
+        """The view rung: ``prepared`` answered from ``snap``'s view cut,
+        or ``None``.  Only with ``use_views``, and never for ``naive``
+        requests: the naive evaluator is the oracle every other path is
+        checked against, so it always evaluates."""
+        if not use_views or naive:
+            return None
+        hit = match_view(prepared, ((name, fp, table) for name, _q, fp, table in snap.views))
+        if hit is None:
+            return None
+        return QueryResult(hit[1], snap.version, answered_by_view=hit[0], trace_id=_trace_id())
 
-    def _query_datalog(
-        self,
-        query_text: str,
-        ordering: "str | None" = None,
+    @staticmethod
+    def evaluate(
+        prepared: PreparedQuery,
+        snap: Snapshot,
         naive: bool = False,
-        use_views: bool = False,
         explain: bool = False,
         analyze: bool = False,
     ) -> QueryResult:
-        """Evaluate a recursive Datalog program over the current snapshot.
-
-        The result table is the program's **first** output predicate
-        (the whole fixpoint is computed; single-output programs — the
-        common case, e.g. transitive closure — are unambiguous).  With
-        ``use_views``, a registered recursive view whose Datalog
-        fingerprint matches answers from the snapshot's materialization
-        cut, exactly like UCQ view matching.
-        """
-        from ..obs.tracing import current_trace
-        from ..queries.fixpoint import datalog_fingerprint, naive_ct_refixpoint
-
-        program = self.compile_datalog(query_text, ordering or self._ordering)
-        snap = self._snapshot
-        active = current_trace()
-        trace_id = active.trace_id if active is not None else None
-        if use_views and len(program.outputs) == 1:
-            wanted = datalog_fingerprint(program)
-            for view_name, _query, fingerprint, table in snap.views:
-                if fingerprint == wanted:
-                    result = CTable(
-                        program.outputs[0], table.arity, table.rows,
-                        table.global_condition,
-                    )
-                    return QueryResult(
-                        result, snap.version, answered_by_view=view_name,
-                        trace_id=trace_id,
-                    )
-        analysis = None
+        """Evaluate ``prepared`` against ``snap``'s database and statistics."""
         try:
-            if naive:
-                out = naive_ct_refixpoint(program, snap.db)
-                trace: "list[str] | None" = None
-            else:
-                evaluation = program.evaluation(snap.db, stats=snap.stats)
-                out = evaluation.database()
-                trace = evaluation.trace if explain else None
-                if analyze:
-                    rounds = evaluation.round_stats
-                    analysis = {
-                        "kind": "datalog",
-                        "rounds": rounds,
-                        "total_ms": round(sum(r["ms"] for r in rounds), 3),
-                    }
-        except KeyError as exc:
-            raise SessionError(f"evaluation: unknown relation {exc}") from exc
-        except ValueError as exc:
-            raise SessionError(f"evaluation: {exc}") from exc
+            execution = execute(
+                prepared, snap.db, snap.stats, naive=naive, explain=explain, analyze=analyze
+            )
+        except QueryError as exc:
+            raise SessionError(str(exc)) from exc
         return QueryResult(
-            out[program.outputs[0]], snap.version, explain=trace,
-            trace_id=trace_id, analyze=analysis,
+            execution.table, snap.version, explain=execution.explain,
+            trace_id=_trace_id(), analyze=execution.analyze,
         )
-
-    @staticmethod
-    def compile_query(query_text: str):
-        """Parse and plan a UCQ; returns ``(head_name, expression)``.
-
-        Raises :class:`SessionError` on malformed query text.  Public so
-        the dispatch layer can fingerprint a plan without evaluating it.
-        """
-        from ..relational.parser import ParseError, parse_query
-        from ..relational.planner import PlanError, ra_of_ucq
-
-        try:
-            query = parse_query(query_text)
-            return query.rules[0].head.pred, ra_of_ucq(query)
-        except (ParseError, PlanError, ValueError) as exc:
-            raise SessionError(f"query: {exc}") from exc
-
-    _compile = compile_query
-
-    @staticmethod
-    def compile_datalog(query_text: str, ordering: str = "dp"):
-        """Parse and compile a recursive Datalog program.
-
-        The Datalog counterpart of :meth:`compile_query`; public so the
-        dispatch layer can fingerprint a program without evaluating it.
-        """
-        from ..queries.fixpoint import CTFixpoint
-        from ..relational.parser import ParseError, parse_datalog
-        from ..relational.planner import PlanError
-
-        try:
-            return CTFixpoint(parse_datalog(query_text), ordering=ordering)
-        except (ParseError, PlanError, ValueError) as exc:
-            raise SessionError(f"query: {exc}") from exc
 
     # -- writes --------------------------------------------------------------
 

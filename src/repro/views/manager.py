@@ -430,41 +430,6 @@ class ViewManager:
             name for name, view in self._views.items() if relation in view.relations
         )
 
-    def lookup(self, expression: RAExpression) -> "tuple[str, CTable] | None":
-        """A registered view answering ``expression``, if any.
-
-        Matching is syntactic (:func:`plan_fingerprint` of the *source*
-        expressions), so a hit is always sound: the cached
-        materialization is the expression's value over the current
-        database.
-        """
-        with self.lock:
-            fingerprint = plan_fingerprint(expression)
-            for name, view in self._views.items():
-                if view.source_fingerprint == fingerprint:
-                    return name, self.get(name)
-            return None
-
-    def lookup_datalog(self, program) -> "tuple[str, CTable] | None":
-        """A registered recursive view answering ``program``, if any.
-
-        The recursive counterpart of :meth:`lookup`: matching is
-        syntactic on :func:`~repro.queries.fixpoint.datalog_fingerprint`
-        (rule set + output choice), restricted to views whose output
-        covers the whole program — a program with several output
-        predicates never matches a single-table view.
-        """
-        with self.lock:
-            fingerprint = datalog_fingerprint(program)
-            for name, view in self._views.items():
-                if (
-                    isinstance(view, _RecursiveView)
-                    and view.source_fingerprint == fingerprint
-                    and view.program.outputs == (view.output,)
-                ):
-                    return name, self.get(name)
-            return None
-
     def refresh(self, name: str | None = None, db: TableDatabase | None = None) -> None:
         """Recompute one view (or all) from the current database.
 

@@ -1,16 +1,19 @@
-"""Reference (oracle) implementations of the paper's decision problems.
+"""Reference (oracle) implementations the efficient code is tested against.
 
-The oracle functions decide each problem straight from the enumeration
-semantics of :mod:`repro.core.worlds`; the efficient algorithms are tested
-against them on small inputs.  They live in a proper module (rather than
-``conftest.py``) so that test modules can import them by name without
-colliding with the benchmark suite's own ``conftest``.
+The decision-problem oracles decide each problem straight from the
+enumeration semantics of :mod:`repro.core.worlds`; the pairwise set
+operators are the O(|L| x |R|) originals of the hash-partitioned
+``intersect_ct`` / ``difference_ct``.  They live in a proper module
+(rather than ``conftest.py``) so that test modules can import them by
+name without colliding with the benchmark suite's own ``conftest``.
 """
 
 from __future__ import annotations
 
-from repro.core.tables import TableDatabase
+from repro.core.conditions import BOOL_TRUE, BoolCondition, BoolOr, conjoin
+from repro.core.tables import CTable, TableDatabase
 from repro.core.worlds import iter_worlds
+from repro.ctalgebra.operators import _match_condition, _with_condition
 from repro.relational.instance import Instance
 
 __all__ = [
@@ -19,6 +22,8 @@ __all__ = [
     "oracle_contains",
     "oracle_possible",
     "oracle_certain",
+    "intersect_ct_pairwise",
+    "difference_ct_pairwise",
 ]
 
 
@@ -73,3 +78,60 @@ def _facts_in(facts: Instance, world: Instance) -> bool:
         if name not in world or not wanted <= world[name].facts:
             return False
     return True
+
+
+def intersect_ct_pairwise(left: CTable, right: CTable, name: str = "intersect") -> CTable:
+    """The pairwise O(|L| x |R|) intersection: the differential oracle for
+    ``intersect_ct`` (see ``tests/test_setops_partition.py``)."""
+    if left.arity != right.arity:
+        raise ValueError(f"arity mismatch: {left.arity} vs {right.arity}")
+    rows = []
+    for lrow in left.rows:
+        matches = [
+            cond
+            for rrow in right.rows
+            if (cond := _match_condition(lrow, rrow)) is not None
+        ]
+        if not matches:
+            continue
+        disjunction: BoolCondition = (
+            matches[0] if len(matches) == 1 else BoolOr(tuple(matches)).flattened()
+        )
+        built = _with_condition(lrow.terms, [lrow.condition, disjunction])
+        if built is not None:
+            rows.append(built)
+    return CTable(
+        name,
+        left.arity,
+        rows,
+        conjoin(left.global_condition, right.global_condition),
+    )
+
+
+def difference_ct_pairwise(left: CTable, right: CTable, name: str = "difference") -> CTable:
+    """The pairwise O(|L| x |R|) difference: the differential oracle for
+    ``difference_ct``."""
+    if left.arity != right.arity:
+        raise ValueError(f"arity mismatch: {left.arity} vs {right.arity}")
+    rows = []
+    for lrow in left.rows:
+        parts: list[BoolCondition] = [lrow.condition]
+        for rrow in right.rows:
+            cond = _match_condition(lrow, rrow)
+            if cond is None:
+                continue
+            if cond == BOOL_TRUE:
+                parts = None  # type: ignore[assignment]
+                break
+            parts.append(cond.negated())
+        if parts is None:
+            continue
+        built = _with_condition(lrow.terms, parts)
+        if built is not None:
+            rows.append(built)
+    return CTable(
+        name,
+        left.arity,
+        rows,
+        conjoin(left.global_condition, right.global_condition),
+    )

@@ -338,33 +338,54 @@ class TestQueryDispatcher:
         finally:
             dispatcher.close()
 
-    def test_inline_fallback_caches_at_its_own_version(self, monkeypatch):
-        """If the in-process fallback observes a newer snapshot than the
-        dispatch did (a writer published in between), its answer must be
-        cached under the *newer* version — caching it under the dispatch
-        version would serve a future answer for a version it does not
-        represent."""
+    def test_write_mid_dispatch_answers_at_the_dispatch_version(self, monkeypatch):
+        """Every rung answers from the snapshot the dispatch read: a write
+        published mid-dispatch leaves the answer and its cache key at the
+        dispatch version, and the next query misses at the new version."""
         session = DatabaseSession("g", graph_db(("a", "b"), ("b", "c")))
         dispatcher = QueryDispatcher(workers=0, cache_size=16)
-        original_query = DatabaseSession.query
+        original_rung = DatabaseSession.answer_from_view
         raced = {"done": False}
 
-        def racing_query(self, query_text, **kwargs):
+        def racing_view_rung(*args, **kwargs):
+            # The view rung runs after the dispatch read its snapshot and
+            # before the inline rung evaluates: publish a write in between.
             if not raced["done"]:
                 raced["done"] = True
-                self.apply([("insert", "R", ("c", "d"))])
-            return original_query(self, query_text, **kwargs)
+                session.apply([("insert", "R", ("c", "d"))])
+            return original_rung(*args, **kwargs)
 
-        monkeypatch.setattr(DatabaseSession, "query", racing_query)
+        monkeypatch.setattr(DatabaseSession, "answer_from_view", staticmethod(racing_view_rung))
         try:
             result, how = dispatcher.query(session, PATH_QUERY)
             assert how == "inline"
-            assert result.version == 1  # evaluated after the racing write
-            # A fresh lookup at version 1 hits; nothing is cached for 0.
-            hit, how2 = dispatcher.query(session, PATH_QUERY)
-            assert how2 == "cache"
-            assert hit.version == 1
-            assert row_values(hit.table) == {("a", "c"), ("b", "d")}
+            assert session.version == 1  # the write landed mid-dispatch
+            assert result.version == 0
+            assert row_values(result.table) == {("a", "c")}
+            assert [key[:2] for key in dispatcher.cache._data] == [("g", 0)]
+            fresh, how2 = dispatcher.query(session, PATH_QUERY)
+            assert how2 == "inline" and fresh.version == 1
+            assert row_values(fresh.table) == {("a", "c"), ("b", "d")}
+            hit, how3 = dispatcher.query(session, PATH_QUERY)
+            assert how3 == "cache" and hit is fresh
+        finally:
+            dispatcher.close()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_naive_request_is_never_served_by_a_view(self, workers):
+        session = DatabaseSession("g", graph_db(("a", "b"), ("b", "c")))
+        session.define_view("V(X, Z) :- R(X, Y), R(Y, Z).")
+        dispatcher = QueryDispatcher(workers=workers, cache_size=16)
+        query = "W(X, Z) :- R(X, Y), R(Y, Z)."
+        try:
+            _, how = dispatcher.query(session, query, use_views=True)
+            assert how == "view"
+            for _ in range(2):  # evaluated, then its own cache entry
+                result, how = dispatcher.query(session, query, use_views=True, naive=True)
+                assert how != "view"
+                assert result.answered_by_view is None
+                assert row_values(result.table) == {("a", "c")}
+            assert how == "cache"
         finally:
             dispatcher.close()
 

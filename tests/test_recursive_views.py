@@ -12,8 +12,8 @@ deletes and modifies fall back to a full re-fixpoint (no sound removal
 delta exists for a fixpoint: a removed base row invalidates every
 round that consumed it).
 
-Also here: the ``define_datalog`` / ``define_text`` /
-``lookup_datalog`` manager surface, sidecar persistence round-trips
+Also here: the ``define_datalog`` / ``define_text`` manager surface,
+view matching by Datalog fingerprint, sidecar persistence round-trips
 for recursive views, and the CLI + HTTP server surfaces
 (``repro eval --datalog``, ``repro view define`` with recursive text,
 ``POST /dbs/{db}/query`` with ``"datalog": true``).
@@ -30,6 +30,7 @@ from repro.core.terms import Constant, Variable
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
 from repro.extensions import apply_update
 from repro.queries.fixpoint import CTFixpoint, datalog_fingerprint
+from repro.queries.prepared import match_view, prepare
 from repro.relational.parser import parse_datalog
 from repro.views import ViewError, ViewManager
 from repro.views.persist import manager_from_registry, manager_to_registry
@@ -186,10 +187,11 @@ class TestDefineSurface:
     def test_lookup_datalog_by_fingerprint(self):
         manager = ViewManager(self._db())
         manager.define_text("TC", TC)
+        views = [(name, fp, table) for name, _q, fp, table in manager.materializations()]
         reordered = "TC(X,Z) :- TC(X,Y), edge(Y,Z). TC(X,Y) :- edge(X,Y)."
-        name, table = manager.lookup_datalog(parse_datalog(reordered))
+        name, table = match_view(prepare(reordered, datalog=True), views)
         assert name == "TC" and len(table) == 3
-        assert manager.lookup_datalog(parse_datalog("P(X,Y) :- edge(X,Y).")) is None
+        assert match_view(prepare("P(X,Y) :- edge(X,Y).", datalog=True), views) is None
 
     def test_drop_and_refresh(self):
         manager = ViewManager(self._db())

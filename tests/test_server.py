@@ -199,6 +199,24 @@ class TestSessionViews:
         assert result.answered_by_view is None
         assert row_values(result.table) == {("a",), ("b",)}
 
+    @pytest.mark.parametrize(
+        "query, datalog, rows",
+        [
+            ("V(X, Z) :- R(X, Y), R(Y, Z).", False, {("a", "c")}),
+            ("V(X, Y) :- R(X, Y). V(X, Z) :- V(X, Y), R(Y, Z).", True,
+             {("a", "b"), ("b", "c"), ("a", "c")}),
+        ],
+    )
+    def test_naive_never_answers_from_a_view(self, query, datalog, rows):
+        # The naive evaluator is the oracle: it evaluates even when a
+        # matching view exists and use_views is set.
+        session = DatabaseSession("g", graph_db(("a", "b"), ("b", "c")))
+        session.define_view(query)
+        assert session.query(query, use_views=True, datalog=datalog).answered_by_view == "V"
+        result = session.query(query, use_views=True, naive=True, datalog=datalog)
+        assert result.answered_by_view is None
+        assert row_values(result.table) == rows
+
 
 class TestSessionPersistence:
     def make_file(self, tmp_path, text=True):
@@ -385,6 +403,18 @@ class TestHttpApi:
         assert [v["name"] for v in client.views("g")] == ["V"]
         client.drop_view("g", "V")
         assert client.views("g") == []
+
+    def test_naive_request_is_not_served_by_a_view(self, server_client):
+        _, client = server_client
+        create_graph(client)
+        client.define_view("g", "V(X, Z) :- R(X, Y), R(Y, Z).")
+        query = "W(X, Z) :- R(X, Y), R(Y, Z)."
+        assert client.query("g", query, use_views=True)["served_by"] == "view"
+        response = client.query("g", query, use_views=True, naive=True)
+        assert response["served_by"] == "inline"
+        assert "answered_by_view" not in response
+        table = table_from_json(response["table"])
+        assert row_values(table) == {("a", "c")}
 
     def test_explain_and_snapshot_download(self, server_client):
         _, client = server_client

@@ -290,13 +290,6 @@ class TestHistograms:
         assert hist.eq_fraction(Constant(999)) == 0.0
         assert hist.neq_fraction(Constant(999)) == 1.0
 
-    def test_range_fraction(self):
-        hist = self._skewed_stats().get("R").columns[0].hist
-        assert abs(hist.range_fraction(Constant(100), Constant(119)) - 0.2) < 0.05
-        assert hist.range_fraction(Constant(0), Constant(1)) == 0.8
-        assert hist.range_fraction() == 1.0
-        assert hist.range_fraction(Constant(500), Constant(600)) == 0.0
-
     def test_selection_estimate_uses_mcv(self):
         stats = self._skewed_stats()
         hot = estimate(Select(Scan("R", 2), [ColEqConst(0, 0)]), stats)

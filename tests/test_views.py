@@ -31,7 +31,7 @@ from repro.core.tables import CTable, Row, TableDatabase, c_table, codd_table
 from repro.core.terms import Constant, Variable
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
 from repro.ctalgebra import evaluate_ct
-from repro.ctalgebra.operators import JoinPartition, _join_partition, join_ct
+from repro.ctalgebra.operators import JoinPartition, join_ct
 from repro.extensions import (
     apply_update,
     delete_fact,
@@ -53,6 +53,7 @@ from repro.relational import (
     Union,
     plan_fingerprint,
 )
+from repro.queries.prepared import PreparedQuery, match_view
 from repro.views import ViewError, ViewManager
 from repro.workloads import (
     random_nway_join_database,
@@ -209,10 +210,12 @@ class TestViewManagerBasics:
         db, expr = _star()
         manager = ViewManager(db)
         manager.define("V", expr)
-        hit = manager.lookup(expr)
+        views = [(name, fp, table) for name, _q, fp, table in manager.materializations()]
+        hit = match_view(PreparedQuery("ucq", "Q", expr), views)
         assert hit is not None and hit[0] == "V"
+        assert hit[1].name == "Q"
         assert set(hit[1].rows) == set(manager.get("V").rows)
-        assert manager.lookup(Scan("F", 3)) is None
+        assert match_view(PreparedQuery("ucq", "Q", Scan("F", 3)), views) is None
 
     def test_failed_define_leaves_no_orphan_subplans(self):
         # A define that fails mid-materialization (arity mismatch) must
@@ -478,21 +481,21 @@ class TestPinnedJoinPartition:
         table = c_table(
             "R", 2, [((Variable("p"), 10), "p = 3"), ((4, 11),), (("?w", 12),)]
         )
-        buckets, wild, alive = _join_partition(table, [0])
-        assert len(alive) == 3
-        assert [row.terms[1] for row in wild] == [(Constant(12))]
-        assert {key for key in buckets} == {(Constant(3),), (Constant(4),)}
+        partition = JoinPartition(table, [0])
+        assert len(partition.alive) == 3
+        assert [row.terms[1] for row in partition.wild] == [(Constant(12))]
+        assert {key for key in partition.buckets} == {(Constant(3),), (Constant(4),)}
 
     def test_globally_pinned_key_is_bucketed(self):
         table = c_table("R", 2, [(("?g", 10),)], "g = 5")
-        buckets, wild, alive = _join_partition(table, [0])
-        assert wild == []
-        assert (Constant(5),) in buckets
+        partition = JoinPartition(table, [0])
+        assert partition.wild == []
+        assert (Constant(5),) in partition.buckets
 
     def test_domain_pins_stay_wild(self):
         table = c_table("R", 1, [(("?d",), "d = 1 | d = 2")])
-        buckets, wild, _ = _join_partition(table, [0])
-        assert buckets == {} and len(wild) == 1
+        partition = JoinPartition(table, [0])
+        assert partition.buckets == {} and len(partition.wild) == 1
 
     def test_pinned_join_is_rep_equivalent_and_smaller(self):
         left = c_table("L", 2, [((Variable("p"), 0), "p = 1"), ((2, 1),)])
@@ -512,8 +515,8 @@ class TestPinnedJoinPartition:
 
 
 class TestPersistentJoinPartition:
-    """The maintained counterpart of ``_join_partition``: built once,
-    synced with add/remove, handed back to ``join_ct``."""
+    """A maintained ``JoinPartition``: built once, synced with
+    add/remove, handed back to ``join_ct``."""
 
     def sample_table(self):
         return c_table(
@@ -521,12 +524,13 @@ class TestPersistentJoinPartition:
         )
 
     def test_matches_one_shot_partition(self):
+        # The classification join_ct partitions with, row by row.
         table = self.sample_table()
-        buckets, wild, alive = _join_partition(table, [0])
+        pinned, ground, wild = table.rows
         partition = JoinPartition(table, [0])
-        assert partition.buckets.keys() == buckets.keys()
-        assert partition.wild == wild
-        assert partition.alive == alive
+        assert partition.buckets == {(Constant(3),): [pinned], (Constant(4),): [ground]}
+        assert partition.wild == [wild]
+        assert partition.alive == [pinned, ground, wild]
 
     def test_add_and_remove_keep_classification_in_sync(self):
         table = self.sample_table()
