@@ -43,7 +43,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.core.terms import Constant
 from repro.extensions import apply_update
 from repro.queries.fixpoint import CTFixpoint, naive_ct_refixpoint
@@ -72,14 +71,12 @@ def run_scratch(layers, width, floor, seed) -> int:
     )
     failures = 0
 
-    clear_condition_caches()
     program = CTFixpoint(parse_datalog(text))
     start = time.perf_counter()
     evaluation = program.evaluation(db)
     semi = evaluation.database()
     semi_time = time.perf_counter() - start
 
-    clear_condition_caches()
     start = time.perf_counter()
     naive = naive_ct_refixpoint(parse_datalog(text), db)
     naive_time = time.perf_counter() - start
@@ -125,7 +122,6 @@ def run_maintenance(layers, width, length, floor, seed) -> int:
 
     # Full semi-naive refixpoint after every insert (the best a
     # view-less engine can do: it at least reuses semi-naive rounds).
-    clear_condition_caches()
     db = base
     program = CTFixpoint(parse_datalog(text))
     start = time.perf_counter()
@@ -135,7 +131,6 @@ def run_maintenance(layers, width, length, floor, seed) -> int:
     full_time = time.perf_counter() - start
 
     # Incremental: re-fixpoint from the inserted delta only.
-    clear_condition_caches()
     db = base
     manager = ViewManager(db)
     manager.define_datalog("TC", text)

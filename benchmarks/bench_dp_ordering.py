@@ -33,7 +33,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.ctalgebra import evaluate_ct_optimized, evaluate_ct_ordered
 from repro.relational import ColEq, Product, Project, Scan, Select, Statistics, StatsStore
 from repro.workloads import (
@@ -234,7 +233,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     star_sizes, star_fact_rows, star_acceptance = QUICK_STAR if args.quick else FULL_STAR
     snowflake_params, snowflake_floor = QUICK_SNOWFLAKE if args.quick else FULL_SNOWFLAKE
     failures = run_star(star_sizes, star_fact_rows, star_acceptance, args.repeat, args.seed)

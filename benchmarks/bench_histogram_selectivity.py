@@ -37,7 +37,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.ctalgebra import evaluate_ct_ordered
 from repro.relational import Statistics
 from repro.workloads import (
@@ -171,7 +170,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     skewed_params, skewed_floor = QUICK_SKEWED if args.quick else FULL_SKEWED
     star_params = QUICK_STAR if args.quick else FULL_STAR
     snowflake_params = QUICK_SNOWFLAKE if args.quick else FULL_SNOWFLAKE

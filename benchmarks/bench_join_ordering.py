@@ -29,7 +29,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.ctalgebra import evaluate_ct_optimized, evaluate_ct_ordered
 from repro.relational import Statistics
 from repro.relational.planner import plan
@@ -111,7 +110,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     fact_rows = QUICK_FACT_ROWS if args.quick else FULL_FACT_ROWS
     acceptance = QUICK_ACCEPTANCE if args.quick else FULL_ACCEPTANCE

@@ -36,7 +36,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches, condition_cache_stats
 from repro.ctalgebra import evaluate_ct, evaluate_ct_optimized
 from repro.workloads import equijoin_expression, random_join_database
 
@@ -89,12 +88,6 @@ def run(sizes, acceptance, repeat: int, var_probability: float, seed: int) -> in
             f"{size:>9}  {naive_time * 1e3:>8.2f}ms  {planned_time * 1e3:>8.2f}ms"
             f"  {speedup:>7.1f}x  {len(planned_view):>8}"
         )
-    stats = condition_cache_stats()
-    print(
-        f"condition caches: sat {stats['sat_hits']}/{stats['sat_hits'] + stats['sat_misses']} hits, "
-        f"trivially-false {stats['trivially_false_hits']}"
-        f"/{stats['trivially_false_hits'] + stats['trivially_false_misses']} hits"
-    )
     if acceptance_speedup is not None and acceptance_speedup < acceptance_floor:
         print(
             f"  !! speedup {acceptance_speedup:.1f}x at {acceptance_size} rows/side is below "
@@ -167,7 +160,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     acceptance = QUICK_ACCEPTANCE if args.quick else FULL_ACCEPTANCE
     # The pinned section's workload ignores --var-probability, so its

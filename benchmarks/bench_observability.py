@@ -46,7 +46,6 @@ import sys
 import threading
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.ctalgebra.evaluate import evaluate_ct_analyzed, evaluate_ct_ordered
 from repro.ctalgebra.operators import (
     difference_ct,
@@ -376,7 +375,6 @@ def run_metrics_load(queriers, queries_each, scrapers, scrapes_each, seed) -> in
             "repro_queries_total",
             "repro_request_latency_seconds",
             'repro_db_version{db="bench"}',
-            "repro_condition_cache_total",
         ):
             if needed not in final:
                 fail(f"final scrape is missing {needed!r}")
@@ -409,7 +407,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     (
         num_dims, dim_rows, fact_rows, iterations,
         sk_dim_rows, sk_fact_rows,

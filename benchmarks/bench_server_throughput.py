@@ -55,7 +55,6 @@ import sys
 import threading
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.core.tables import TableDatabase
 from repro.ctalgebra.evaluate import evaluate_ct
 from repro.relational.parser import parse_query
@@ -523,7 +522,6 @@ def main(argv=None) -> int:
         help="also write the multi-process section's BENCH_JSON payload here",
     )
     args = parser.parse_args(argv)
-    clear_condition_caches()
     (
         num_dims, dim_rows, fact_rows, readers, length,
         seconds, rel_floor, abs_floor, http_requests, workers,

@@ -41,7 +41,6 @@ import random
 import sys
 import time
 
-from repro.core.conditions import clear_condition_caches
 from repro.ctalgebra import evaluate_ct_ordered
 from repro.extensions import apply_update
 from repro.relational import Project, StatsStore
@@ -188,7 +187,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0xAB1987)
     args = parser.parse_args(argv)
-    clear_condition_caches()
     dim_rows, fact_rows, length, stride, floor, shared_floor = (
         QUICK if args.quick else FULL
     )

@@ -919,9 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help="EXPLAIN ANALYZE: execute with per-operator instrumentation and "
-        "print estimated vs actual rows, wall time, condition-cache hit "
-        "rates and hash-partition bucket stats per plan node (per-round "
-        "delta sizes with --datalog)",
+        "print estimated vs actual rows, wall time and hash-partition "
+        "bucket stats per plan node (per-round delta sizes with --datalog)",
     )
     p.add_argument(
         "--explain-json",

@@ -24,11 +24,10 @@ further checking is needed.
 
 from __future__ import annotations
 
-import threading
+import weakref
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .pickling import pickles_by_slots
 from .terms import Constant, Term, TermLike, Variable, as_term
 
 __all__ = [
@@ -47,11 +46,6 @@ __all__ = [
     "UnionFind",
     "parse_atom",
     "parse_conjunction",
-    "intern_conjunction",
-    "conjoin",
-    "condition_is_trivially_false",
-    "condition_cache_stats",
-    "clear_condition_caches",
 ]
 
 
@@ -60,7 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@pickles_by_slots
 class Atom:
     """An equality or inequality between two terms.
 
@@ -68,7 +61,7 @@ class Atom:
     ``Eq(x, y) == Eq(y, x)``.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_hash")
 
     #: Overridden by subclasses: the comparison symbol.
     symbol = "?"
@@ -79,19 +72,26 @@ class Atom:
             a, b = b, a
         object.__setattr__(self, "left", a)
         object.__setattr__(self, "right", b)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, a, b)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             type(self) is type(other)
+            and self._hash == other._hash
             and self.left == other.left
             and self.right == other.right
         )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.left, self.right))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.left!r}, {self.right!r})"
@@ -188,187 +188,6 @@ class Neq(Atom):
 
 
 # ---------------------------------------------------------------------------
-# Condition caches
-# ---------------------------------------------------------------------------
-#
-# Query evaluation over c-tables manufactures the same conditions over and
-# over: every joined row pair conjoins the same pair of local conditions,
-# and every dead-row check re-decides satisfiability of a condition already
-# seen.  All condition objects are immutable and hashable, so the results
-# are safe to memoise globally.  The planner (:mod:`repro.ctalgebra`) leans
-# on these caches; the caches are an optimisation only — every cached entry
-# is exactly what the uncached computation would return.
-
-#: Entry cap per cache.  Query evaluation manufactures a unique combined
-#: condition per output row, so uncapped caches would grow with the total
-#: rows ever processed; each cache evicts its least-recently-used entry on
-#: overflow, so the hot (repeated) entries survive arbitrarily long runs —
-#: important when a long-running service embeds the library.
-_CACHE_LIMIT = 1 << 18
-
-_MISSING = object()
-
-
-class _LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Exploits dict insertion order: a hit re-inserts the key at the end, so
-    the first key is always the least recently *used* and :meth:`put`
-    evicts it when the cache is full.  ``limit`` is mutable so tests (and
-    embedders with different memory budgets) can resize a cache in place.
-
-    Every operation holds the cache's lock: the module-level caches are
-    shared by all threads of a process (the ``repro serve`` request
-    handlers in particular), and the delete-then-reinsert recency dance
-    would otherwise tear under interleaving — two hits on the same key
-    can both delete, one raises; a put racing an eviction can walk a
-    dict mutated mid-iteration.  Cached *values* are immutable condition
-    objects, so the lock only needs to cover the dict surgery.
-    """
-
-    __slots__ = ("_data", "_lock", "limit")
-
-    def __init__(self, limit: int = _CACHE_LIMIT) -> None:
-        self._data: dict = {}
-        self._lock = threading.Lock()
-        self.limit = limit
-
-    def get(self, key, default=None):
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                return default
-            # Refresh recency: move the key to the (most-recent) end.
-            del self._data[key]
-            self._data[key] = value
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            data = self._data
-            if key in data:
-                del data[key]
-            else:
-                # A loop (not a single eviction) so that lowering ``limit``
-                # on a full cache shrinks it, and a non-positive limit
-                # cannot trip ``next`` on an empty dict.
-                while data and len(data) >= self.limit:
-                    del data[next(iter(data))]
-            data[key] = value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-#: Satisfiability verdicts keyed by a conjunction's canonical atom tuple.
-_SAT_CACHE = _LRUCache()
-
-#: Canonical (interned) conjunction per atom tuple.
-_INTERN_CACHE = _LRUCache()
-
-#: Memoised pairwise conjunction results.
-_CONJOIN_CACHE = _LRUCache()
-
-#: Memoised trivially-false verdicts for boolean condition trees.
-_TRIVIALLY_FALSE_CACHE = _LRUCache()
-
-#: Hit/miss counters, one pair per cache (exposed for tests and tuning).
-#: Advisory only: increments are not synchronised, so a concurrent run may
-#: under-count — tolerable for tuning telemetry, and it keeps the hot
-#: lookup paths lock-free outside the cache's own dict surgery.
-_CACHE_STATS = {
-    "sat_hits": 0,
-    "sat_misses": 0,
-    "intern_hits": 0,
-    "intern_misses": 0,
-    "conjoin_hits": 0,
-    "conjoin_misses": 0,
-    "trivially_false_hits": 0,
-    "trivially_false_misses": 0,
-}
-
-
-def condition_cache_stats() -> dict[str, int]:
-    """A snapshot of the condition-cache hit/miss counters."""
-    return dict(_CACHE_STATS)
-
-
-def clear_condition_caches() -> None:
-    """Drop every memoised condition result (and reset the counters)."""
-    _SAT_CACHE.clear()
-    _INTERN_CACHE.clear()
-    _CONJOIN_CACHE.clear()
-    _TRIVIALLY_FALSE_CACHE.clear()
-    for key in _CACHE_STATS:
-        _CACHE_STATS[key] = 0
-
-
-def intern_conjunction(conjunction: "Conjunction") -> "Conjunction":
-    """The canonical shared instance for this conjunction's atom set.
-
-    Interning makes repeated conjunctions share storage and turns deep
-    equality checks between planner-produced conditions into pointer
-    comparisons; semantically it is the identity.
-    """
-    cached = _INTERN_CACHE.get(conjunction.atoms)
-    if cached is not None:
-        _CACHE_STATS["intern_hits"] += 1
-        return cached
-    _CACHE_STATS["intern_misses"] += 1
-    _INTERN_CACHE.put(conjunction.atoms, conjunction)
-    return conjunction
-
-
-def conjoin(left: "Conjunction", right: "Conjunction") -> "Conjunction":
-    """Memoised ``left.and_also(right)``, returning an interned result."""
-    key = (left.atoms, right.atoms)
-    cached = _CONJOIN_CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS["conjoin_hits"] += 1
-        return cached
-    _CACHE_STATS["conjoin_misses"] += 1
-    result = intern_conjunction(left.and_also(right))
-    _CONJOIN_CACHE.put(key, result)
-    return result
-
-
-def condition_is_trivially_false(condition: "BoolCondition") -> bool:
-    """Sound, cheap falsity detection for boolean condition trees.
-
-    Returns True only when the tree is unsatisfiable *for structural
-    reasons* visible without solving: a false atom, an And with a false
-    child, an Or whose children are all false.  (A deeper contradiction
-    like ``x = 1 & x = 2`` split across atoms is left to the DNF/sat
-    machinery.)  Verdicts are memoised per subtree, so the dead-row pruning
-    in the c-table operators pays for each distinct condition once.
-    """
-    cached = _TRIVIALLY_FALSE_CACHE.get(condition)
-    if cached is not None:
-        _CACHE_STATS["trivially_false_hits"] += 1
-        return cached
-    _CACHE_STATS["trivially_false_misses"] += 1
-    if isinstance(condition, BoolAtom):
-        verdict = condition.atom.is_trivially_false()
-    elif isinstance(condition, BoolAnd):
-        verdict = any(condition_is_trivially_false(c) for c in condition.children)
-    elif isinstance(condition, BoolOr):
-        verdict = all(condition_is_trivially_false(c) for c in condition.children)
-    else:  # pragma: no cover - future condition kinds default to "unknown"
-        verdict = False
-    _TRIVIALLY_FALSE_CACHE.put(condition, verdict)
-    return verdict
-
-
-# ---------------------------------------------------------------------------
 # Union-find over terms
 # ---------------------------------------------------------------------------
 
@@ -457,7 +276,13 @@ def _prefer(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@pickles_by_slots
+#: The live conjunction per canonical atom tuple.  Weak values: an entry
+#: goes when the last reference to its conjunction does, so the table
+#: needs no cap.  Equality stays structural, so a lost race between two
+#: threads interning the same atoms costs sharing, never correctness.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Conjunction]" = weakref.WeakValueDictionary()
+
+
 class Conjunction:
     """A conjunction of equality/inequality atoms.
 
@@ -465,20 +290,32 @@ class Conjunction:
     canonical unsatisfiable conjunction ``x != x`` is :data:`FALSE`, matching
     the paper's encoding remark in Section 2.2.
 
-    Instances are immutable, hashable and canonically ordered.
+    Instances are immutable, hashable, canonically ordered and hash-consed:
+    constructing the same atom set twice returns the same live instance,
+    which also carries the set's satisfiability verdict once decided.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_hash", "_sat", "__weakref__")
 
-    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        unique = sorted(set(atoms), key=Atom.sort_key)
-        object.__setattr__(self, "atoms", tuple(unique))
-        for atom in self.atoms:
+    def __new__(cls, atoms: Iterable[Atom] = ()) -> "Conjunction":
+        unique = tuple(sorted(set(atoms), key=Atom.sort_key))
+        for atom in unique:
             if not isinstance(atom, Atom):
                 raise TypeError(f"not an atom: {atom!r}")
+        interned = _INTERNED.get(unique)
+        if interned is not None:
+            return interned
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", unique)
+        object.__setattr__(self, "_hash", hash(("Conjunction", unique)))
+        object.__setattr__(self, "_sat", None)
+        return _INTERNED.setdefault(unique, self)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Conjunction is immutable")
+
+    def __reduce__(self):
+        return (Conjunction, (self.atoms,))
 
     # -- container protocol --------------------------------------------------
 
@@ -492,10 +329,16 @@ class Conjunction:
         return atom in self.atoms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Conjunction) and self.atoms == other.atoms
+        if self is other:
+            return True
+        return (
+            isinstance(other, Conjunction)
+            and self._hash == other._hash
+            and self.atoms == other.atoms
+        )
 
     def __hash__(self) -> int:
-        return hash(("Conjunction", self.atoms))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Conjunction([{', '.join(map(str, self.atoms))}])"
@@ -552,20 +395,16 @@ class Conjunction:
 
         Polynomial time: congruence-close the equalities; unsatisfiable iff
         that merges two distinct constants or some inequality atom has both
-        sides in the same class.  Verdicts are memoised globally (keyed by
-        the canonical atom tuple), so the repeated checks issued by query
-        evaluation hit a cache.
+        sides in the same class.  The verdict is memoised on the interned
+        instance, so every later check of the same atom set reads it.
         """
-        cached = _SAT_CACHE.get(self.atoms)
-        if cached is not None:
-            _CACHE_STATS["sat_hits"] += 1
-            return cached
-        _CACHE_STATS["sat_misses"] += 1
-        uf = self.closure()
-        verdict = not uf.inconsistent and not any(
-            uf.same(a.left, a.right) for a in self.inequalities()
-        )
-        _SAT_CACHE.put(self.atoms, verdict)
+        verdict = self._sat
+        if verdict is None:
+            uf = self.closure()
+            verdict = not uf.inconsistent and not any(
+                uf.same(a.left, a.right) for a in self.inequalities()
+            )
+            object.__setattr__(self, "_sat", verdict)
         return verdict
 
     def solve(self) -> "tuple[dict[Variable, Term], Conjunction] | None":
@@ -647,9 +486,17 @@ class BoolCondition:
     local conditions; joins introduce *ands*.  Trees keep evaluation cheap;
     :meth:`to_dnf` recovers the conjunction-of-atoms form required by the
     paper's constructions (e.g. Theorem 3.2(2) step (c)).
+
+    Each node computes its hash and :attr:`trivially_false` once, when it
+    is built.  ``trivially_false`` is sound, cheap falsity detection: True
+    only when the tree is unsatisfiable *for structural reasons* visible
+    without solving -- a false atom, an And with a false child, an Or whose
+    children are all false.  (A deeper contradiction like ``x = 1 & x = 2``
+    split across atoms is left to the DNF/sat machinery.)  The c-table
+    operators read it to drop dead rows.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "trivially_false")
 
     def to_dnf(self) -> tuple[Conjunction, ...]:
         """Disjunctive normal form: a tuple of satisfiable conjunctions.
@@ -701,7 +548,6 @@ class BoolCondition:
         return BoolAnd(tuple(BoolAtom(a) for a in conj.atoms)).flattened()
 
 
-@pickles_by_slots
 class BoolAtom(BoolCondition):
     """A single atom leaf."""
 
@@ -709,15 +555,26 @@ class BoolAtom(BoolCondition):
 
     def __init__(self, atom: Atom) -> None:
         object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "_hash", hash(("BoolAtom", atom)))
+        object.__setattr__(self, "trivially_false", atom.is_trivially_false())
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BoolAtom is immutable")
 
+    def __reduce__(self):
+        return (BoolAtom, (self.atom,))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, BoolAtom) and self.atom == other.atom
+        if self is other:
+            return True
+        return (
+            isinstance(other, BoolAtom)
+            and self._hash == other._hash
+            and self.atom == other.atom
+        )
 
     def __hash__(self) -> int:
-        return hash(("BoolAtom", self.atom))
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.atom)
@@ -747,23 +604,40 @@ class BoolAtom(BoolCondition):
         return self.atom.constants()
 
 
-@pickles_by_slots
 class _BoolNary(BoolCondition):
     """Shared machinery for n-ary And / Or nodes."""
 
     __slots__ = ("children",)
 
+    #: How the children's falsity decides the node's: ``any`` for And,
+    #: ``all`` for Or.
+    _false_if = staticmethod(any)
+
     def __init__(self, children: Sequence[BoolCondition]) -> None:
-        object.__setattr__(self, "children", tuple(children))
+        children = tuple(children)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, children)))
+        object.__setattr__(
+            self, "trivially_false", self._false_if(c.trivially_false for c in children)
+        )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.children,))
+
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.children == other.children
+        if self is other:
+            return True
+        return (
+            type(self) is type(other)
+            and self._hash == other._hash
+            and self.children == other.children
+        )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.children))
+        return self._hash
 
     def substitute(self, mapping) -> "BoolCondition":
         return type(self)(tuple(c.substitute(mapping) for c in self.children))
@@ -829,6 +703,7 @@ class BoolOr(_BoolNary):
     """Disjunction node."""
 
     __slots__ = ()
+    _false_if = staticmethod(all)
 
     def __str__(self) -> str:
         return "(" + " | ".join(map(str, self.children)) + ")"

@@ -5,22 +5,28 @@ tables, statistics) is immutable: ``__slots__`` storage, attributes set
 once via ``object.__setattr__`` in ``__init__``, and a ``__setattr__``
 guard that raises afterwards.  That guard breaks pickle's default slot
 protocol — unpickling restores slot state with ``setattr``, which the
-guard rejects — so none of these objects survived a round trip.
+guard rejects — so none of these objects would survive a round trip.
 
 The serving layer's worker pool (:mod:`repro.server.pool`) ships
 snapshot databases and statistics to reader processes over
 ``multiprocessing`` pipes, which makes round-tripping a requirement.
-:func:`pickles_by_slots` is the shared fix: a class decorator installing
-``__getstate__``/``__setstate__`` that collect every *set* slot across
-the MRO and restore them with ``object.__setattr__``, bypassing the
-guard exactly the way ``__init__`` does.
+Two mechanisms cover it:
 
-Unset slots (lazily populated caches such as a memoised digest) are
-skipped on save and simply stay unset on load.  ``__init__`` is never
-re-run, so no validation or interning is repeated; all of these classes
-compare structurally, which makes unpickled duplicates of module-level
-singletons (``TRUE``, ``BOOL_TRUE``) behave identically to the
-originals.
+* Terms and conditions memoise their hash at construction, and
+  :class:`~repro.core.conditions.Conjunction` is hash-consed.  They
+  pickle through ``__reduce__`` to their constructor, so the receiving
+  process — which may draw a different string-hash seed — recomputes
+  every hash and re-interns every conjunction.  Shipping a memoised
+  hash would leave an object equal to a freshly built twin yet missing
+  from a set of them.
+* Rows, tables, databases and statistics carry no hash memo and use
+  :func:`pickles_by_slots`, a class decorator installing
+  ``__getstate__``/``__setstate__`` that collect every *set* slot across
+  the MRO and restore them with ``object.__setattr__``, bypassing the
+  guard exactly the way ``__init__`` does.  Unset slots (lazily
+  populated memos such as a table's content digest) are skipped on save
+  and simply stay unset on load.  ``__init__`` is never re-run, so no
+  validation is repeated.
 """
 
 from __future__ import annotations

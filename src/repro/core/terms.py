@@ -8,7 +8,9 @@ relations contain only constants ("facts"); rows of tables may mix the two.
 Design notes
 ------------
 * Terms are immutable and hashable so that tuples of terms can live in sets
-  and serve as dictionary keys.
+  and serve as dictionary keys.  Each term computes its hash once, at
+  construction, and pickles back through its constructor so a process
+  with a different hash seed recomputes it.
 * A total order over terms is provided (constants before variables, then by
   the underlying value/name) so that canonical forms -- of conditions,
   tables, instances -- are deterministic.  Determinism matters for tests and
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Union
-
-from .pickling import pickles_by_slots
 
 __all__ = [
     "Term",
@@ -65,7 +65,6 @@ class Term:
         return isinstance(self, Variable)
 
 
-@pickles_by_slots
 class Constant(Term):
     """A known database constant.
 
@@ -75,26 +74,33 @@ class Constant(Term):
     False
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
     _rank = 0
 
     def __init__(self, value) -> None:
         if isinstance(value, Term):
             raise TypeError("Constant payload must be a plain value, not a Term")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("Constant", value)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Constant is immutable")
 
+    def __reduce__(self):
+        return (Constant, (self.value,))
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Constant)
+            and self._hash == other._hash
             and type(self.value) is type(other.value)
             and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash(("Constant", self.value))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
@@ -106,7 +112,6 @@ class Constant(Term):
         return (self._rank, type(self.value).__name__, str(self.value))
 
 
-@pickles_by_slots
 class Variable(Term):
     """A null: a value that is present but unknown.
 
@@ -118,22 +123,32 @@ class Variable(Term):
     True
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
     _rank = 1
 
     def __init__(self, name: str) -> None:
         if not isinstance(name, str) or not name:
             raise TypeError("Variable name must be a non-empty string")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("Variable", name)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Variable is immutable")
 
+    def __reduce__(self):
+        return (Variable, (self.name,))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
+        if self is other:
+            return True
+        return (
+            isinstance(other, Variable)
+            and self._hash == other._hash
+            and self.name == other.name
+        )
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

@@ -141,10 +141,9 @@ def evaluate_ct_analyzed(
 
     Same plan and same result as :func:`evaluate_ct_ordered`, but each
     plan node is timed individually and annotated with the cost model's
-    estimated rows, its actual output rows, the condition-cache hit/miss
-    deltas its operator charged, and — for joins — the hash-partition
-    bucket/wild counts.  Returns ``(table, analysis)`` with ``analysis``
-    a :class:`repro.obs.analyze.PlanAnalysis`.
+    estimated rows, its actual output rows and — for joins — the
+    hash-partition bucket/wild counts.  Returns ``(table, analysis)``
+    with ``analysis`` a :class:`repro.obs.analyze.PlanAnalysis`.
     """
     table, _planned, analysis = evaluate_ct_planned(
         expression, db, name, stats, explain, ordering, analyze=True
@@ -170,11 +169,9 @@ def evaluate_ct_planned(
     it ``analysis`` is ``None`` and the walker is uninstrumented.
     """
     if analyze:
-        from ..core.conditions import condition_cache_stats
-        from ..obs.analyze import AnalyzeObserver, PlanAnalysis, cache_delta
+        from ..obs.analyze import AnalyzeObserver, PlanAnalysis
 
         start = time.perf_counter()
-        before = condition_cache_stats()
     snapshot = resolve_stats(stats, db)
     planned = plan(expression, stats=snapshot, explain=explain, ordering=ordering)
     if not analyze:
@@ -188,7 +185,6 @@ def evaluate_ct_planned(
             observer.root,
             plan_ms=plan_ms,
             total_ms=(time.perf_counter() - start) * 1e3,
-            condition_caches=cache_delta(before, condition_cache_stats()),
         )
     return CTable(name, table.arity, table.rows, table.global_condition), planned, analysis
 

@@ -45,8 +45,6 @@ from ..core.conditions import (
     BoolOr,
     Eq,
     Neq,
-    condition_is_trivially_false,
-    conjoin,
 )
 from ..core.tables import CTable, Row
 from ..core.terms import Constant
@@ -91,7 +89,7 @@ def _with_condition(terms: tuple, parts: list[BoolCondition]) -> Row | None:
     for part in parts:
         if part == BOOL_TRUE:
             continue
-        if condition_is_trivially_false(part):
+        if part.trivially_false:
             return None
         if isinstance(part, BoolAtom) and part.atom.is_trivially_true():
             continue
@@ -149,7 +147,7 @@ def product_ct(left: CTable, right: CTable, name: str = "product") -> CTable:
         name,
         left.arity + right.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )
 
 
@@ -205,7 +203,7 @@ class JoinPartition:
 
     def _classify(self, row: Row):
         """The bucket key for ``row``, ``None`` for wild, ``_DEAD`` for dead."""
-        if condition_is_trivially_false(row.condition):
+        if row.condition.trivially_false:
             return _DEAD
         terms = row.terms
         key = tuple([terms[c] for c in self.columns])
@@ -366,7 +364,7 @@ def join_ct(
         name,
         left.arity + right.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )
 
 
@@ -378,7 +376,7 @@ def union_ct(left: CTable, right: CTable, name: str = "union") -> CTable:
         name,
         left.arity,
         list(left.rows) + list(right.rows),
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )
 
 
@@ -422,7 +420,7 @@ class _SetOpPartition:
         self.wild: list[tuple[int, Row]] = []
         self.alive: list[Row] = []
         for index, row in enumerate(rows):
-            if condition_is_trivially_false(row.condition):
+            if row.condition.trivially_false:
                 continue
             self.alive.append(row)
             if all(isinstance(row.terms[c], Constant) for c in columns):
@@ -477,7 +475,7 @@ def intersect_ct(left: CTable, right: CTable, name: str = "intersect") -> CTable
     partition = _SetOpPartition(right.rows, right.arity)
     rows = []
     for lrow in left.rows:
-        if condition_is_trivially_false(lrow.condition):
+        if lrow.condition.trivially_false:
             continue
         matches = [
             cond
@@ -496,7 +494,7 @@ def intersect_ct(left: CTable, right: CTable, name: str = "intersect") -> CTable
         name,
         left.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )
 
 
@@ -517,7 +515,7 @@ def difference_ct(left: CTable, right: CTable, name: str = "difference") -> CTab
     partition = _SetOpPartition(right.rows, right.arity)
     rows = []
     for lrow in left.rows:
-        if condition_is_trivially_false(lrow.condition):
+        if lrow.condition.trivially_false:
             continue
         parts: list[BoolCondition] = [lrow.condition]
         for rrow in partition.matching_rows(lrow):
@@ -537,5 +535,5 @@ def difference_ct(left: CTable, right: CTable, name: str = "difference") -> CTab
         name,
         left.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )

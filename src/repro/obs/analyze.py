@@ -8,9 +8,8 @@ observer builds one :class:`NodeAnalysis` per plan node — operator
 label, estimated rows (from :func:`repro.relational.stats.estimate`
 over the same statistics the planner costed with), actual output rows,
 own wall milliseconds (children excluded), plus operator extras:
-hash-partition bucket/wild counts for joins and the condition-cache
-hit/miss deltas charged while the operator ran.  The whole tree rolls
-up into a :class:`PlanAnalysis`.
+hash-partition bucket/wild counts for joins.  The whole tree rolls up
+into a :class:`PlanAnalysis`.
 
 Everything serializes to plain JSON (``to_json``) so the same payload
 crosses the server wire, lands in ``QueryResult.analyze``, and renders
@@ -21,20 +20,17 @@ same dict.
 Estimated-vs-actual is the feedback signal for the histogram cost
 model: a node whose ``actual`` is far from ``est`` is where the model
 is wrong, and the per-node timings say where the per-row Python time
-actually goes (ROADMAP item 2's prerequisite).
+actually goes.
 """
 
 from __future__ import annotations
 
 import time
 
-from typing import Mapping
-
 __all__ = [
     "AnalyzeObserver",
     "NodeAnalysis",
     "PlanAnalysis",
-    "cache_delta",
     "node_label",
     "render_analysis",
 ]
@@ -56,28 +52,6 @@ def node_label(node) -> str:
     if isinstance(node, Join):
         return f"Join(on={[tuple(pair) for pair in node.on]})"
     return type(node).__name__
-
-
-def cache_delta(before: Mapping[str, int], after: Mapping[str, int]) -> dict:
-    """Non-zero condition-cache counter deltas between two snapshots."""
-    return {
-        key: after[key] - before[key]
-        for key in after
-        if after[key] != before.get(key, 0)
-    }
-
-
-def _hit_rates(delta: Mapping[str, int]) -> list[str]:
-    """Render cache deltas as ``kind 12/14`` hit fractions."""
-    parts = []
-    kinds = sorted({key.rsplit("_", 1)[0] for key in delta})
-    for kind in kinds:
-        hits = delta.get(f"{kind}_hits", 0)
-        misses = delta.get(f"{kind}_misses", 0)
-        total = hits + misses
-        if total:
-            parts.append(f"{kind} {hits}/{total}")
-    return parts
 
 
 class NodeAnalysis:
@@ -124,26 +98,20 @@ class NodeAnalysis:
 class PlanAnalysis:
     """One analyzed execution: the node tree plus run-wide roll-ups."""
 
-    __slots__ = ("root", "plan_ms", "total_ms", "condition_caches")
+    __slots__ = ("root", "plan_ms", "total_ms")
 
     def __init__(
-        self,
-        root: NodeAnalysis,
-        plan_ms: float = 0.0,
-        total_ms: float = 0.0,
-        condition_caches: "dict | None" = None,
+        self, root: NodeAnalysis, plan_ms: float = 0.0, total_ms: float = 0.0
     ) -> None:
         self.root = root
         self.plan_ms = float(plan_ms)
         self.total_ms = float(total_ms)
-        self.condition_caches = condition_caches or {}
 
     def to_json(self) -> dict:
         return {
             "kind": "plan",
             "plan_ms": round(self.plan_ms, 3),
             "total_ms": round(self.total_ms, 3),
-            "condition_caches": dict(self.condition_caches),
             "root": self.root.to_json(),
         }
 
@@ -155,10 +123,9 @@ class AnalyzeObserver:
     """EXPLAIN ANALYZE as an observer of the plan walker.
 
     Called as ``observer(node, run)`` once per node, children first, it
-    times ``run(extras)`` (the node's operator alone), brackets it with
-    condition-cache counters and records a :class:`NodeAnalysis`, which
-    waits on a stack until its parent claims it; :attr:`root` is the
-    finished tree.  Each operator also lands as an ``op:<label>`` span
+    times ``run(extras)`` (the node's operator alone) and records a
+    :class:`NodeAnalysis`, which waits on a stack until its parent claims
+    it; :attr:`root` is the finished tree.  Each operator also lands as an ``op:<label>`` span
     on the active trace, if any.
     """
 
@@ -173,18 +140,13 @@ class AnalyzeObserver:
         return self._done[-1]
 
     def __call__(self, node, run):
-        from ..core.conditions import condition_cache_stats
         from ..relational.stats import estimate
         from .tracing import current_trace
 
         extras: dict = {}
-        before = condition_cache_stats()
         start = time.perf_counter()
         table = run(extras)
         ms = (time.perf_counter() - start) * 1e3
-        caches = cache_delta(before, condition_cache_stats())
-        if caches:
-            extras["condition_caches"] = caches
         label = node_label(node)
         est_rows = estimate(node, self.stats).rows if self.stats is not None else None
         trace = current_trace()
@@ -218,11 +180,6 @@ def _node_line(node: dict, indent: int) -> str:
                 rw=extras["right_wild"],
             )
         )
-    cache = extras.get("condition_caches")
-    if cache:
-        rates = _hit_rates(cache)
-        if rates:
-            parts.append("cache[" + ", ".join(rates) + "]")
     return "  ".join(parts)
 
 
@@ -233,9 +190,6 @@ def _render_plan(data: dict) -> list[str]:
             exec_ms=max(data.get("total_ms", 0.0) - data.get("plan_ms", 0.0), 0.0),
         )
     ]
-    overall = _hit_rates(data.get("condition_caches") or {})
-    if overall:
-        lines.append("analyze: condition caches " + ", ".join(overall))
 
     def walk(node: dict, indent: int) -> None:
         lines.append(_node_line(node, indent))

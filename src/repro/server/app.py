@@ -62,7 +62,6 @@ import threading
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core.conditions import condition_cache_stats
 from ..io.jsonio import database_from_json, database_to_json, table_to_json
 from ..obs.tracing import TRACE_HEADER, new_trace_id, sanitize_trace_id
 from .observe import build_metrics_registry
@@ -111,6 +110,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout: bounds the body-read loop (a stalled client gets
     #: dropped rather than pinning a handler thread forever).
     timeout = 60.0
+    #: TCP_NODELAY: a reply goes out as a header send then a body send,
+    #: and with Nagle's algorithm the second waits for the client's
+    #: delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -125,8 +128,15 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        # On a rejected length the body stays unread, so the connection
+        # cannot carry another request.
+        text = (self.headers.get("Content-Length") or "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            self.close_connection = True
+            raise _HttpError(400, "bad Content-Length")
+        length = int(text)
         if length > MAX_BODY:
+            self.close_connection = True
             raise _HttpError(400, f"request body over {MAX_BODY} bytes")
         if length == 0:
             return {}
@@ -158,6 +168,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if len(body) > CHUNK_THRESHOLD:
             self.send_header("Transfer-Encoding", "chunked")
             self.end_headers()
@@ -217,7 +229,6 @@ class _Handler(BaseHTTPRequestHandler):
             session.name: session.telemetry()
             for session in self.registry.sessions()
         }
-        payload["conditions"] = condition_cache_stats()
         self._reply(payload)
 
     def _get_metrics(self):

@@ -3,13 +3,12 @@
 :func:`build_metrics_registry` is the one place that knows which live
 objects back ``GET /metrics``: it registers a single collector that, at
 scrape time, walks the server's dispatcher (query counters, request
-cache, worker pool, latency window, slow-query log), the process-global
-condition caches, and every registered database session (version,
-table/view counts, view-maintenance counters, statistics-store
-collection counts).  Nothing is copied per update — the instruments the
-hot path touches are the same ``CounterGroup``/``Histogram`` objects the
-serving layer already bumps, and the registry only reads them when a
-scraper asks.
+cache, worker pool, latency window, slow-query log) and every registered
+database session (version, table/view counts, view-maintenance counters,
+statistics-store collection counts).  Nothing is copied per update — the
+instruments the hot path touches are the same ``CounterGroup``/``Histogram``
+objects the serving layer already bumps, and the registry only reads them
+when a scraper asks.
 
 Per-database families carry a ``db`` label, per-counter families a
 ``key`` label; everything renders through
@@ -19,7 +18,6 @@ exposition format.
 
 from __future__ import annotations
 
-from ..core.conditions import condition_cache_stats
 from ..obs.metrics import MetricFamily, MetricsRegistry, counter_family, gauge_family
 
 __all__ = ["build_metrics_registry"]
@@ -142,14 +140,6 @@ def build_metrics_registry(server) -> MetricsRegistry:
 
     def collect():
         families = _dispatcher_families(server.dispatcher)
-        families.append(
-            counter_family(
-                "repro_condition_cache_total",
-                "Process-global condition-cache hit/miss counters.",
-                condition_cache_stats(),
-                label="event",
-            )
-        )
         families.extend(_session_families(server.registry))
         return families
 

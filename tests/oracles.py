@@ -10,7 +10,7 @@ name without colliding with the benchmark suite's own ``conftest``.
 
 from __future__ import annotations
 
-from repro.core.conditions import BOOL_TRUE, BoolCondition, BoolOr, conjoin
+from repro.core.conditions import BOOL_TRUE, BoolCondition, BoolOr
 from repro.core.tables import CTable, TableDatabase
 from repro.core.worlds import iter_worlds
 from repro.ctalgebra.operators import _match_condition, _with_condition
@@ -104,7 +104,7 @@ def intersect_ct_pairwise(left: CTable, right: CTable, name: str = "intersect") 
         name,
         left.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )
 
 
@@ -133,5 +133,5 @@ def difference_ct_pairwise(left: CTable, right: CTable, name: str = "difference"
         name,
         left.arity,
         rows,
-        conjoin(left.global_condition, right.global_condition),
+        left.global_condition.and_also(right.global_condition),
     )

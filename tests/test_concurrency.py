@@ -2,9 +2,9 @@
 
 Three families:
 
-* hammer tests for the module-level LRU condition caches
-  (``repro.core.conditions``), which used to be bare dicts with a
-  check-then-act eviction race;
+* a hammer on the weak intern table behind hash-consed conjunctions
+  (``repro.core.conditions``): threads build overlapping conjunctions
+  while another drops references and collects garbage;
 * a regression test pinning the *invalidate → rebind* critical section
   of :class:`~repro.relational.stats.StatsStore` (a reader snapshotting
   between the two used to recollect the touched table from the outgoing
@@ -24,18 +24,15 @@ implementations), small enough to finish in seconds.
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.core.conditions import (
-    _LRUCache,
-    conjoin,
-    intern_conjunction,
-    parse_conjunction,
-)
+from repro.core.conditions import Atom, Conjunction, parse_conjunction
 from repro.core.tables import CTable, TableDatabase, c_table, codd_table
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
 from repro.ctalgebra.evaluate import evaluate_ct
@@ -71,60 +68,18 @@ def row_values(table):
 
 
 # ---------------------------------------------------------------------------
-# The condition caches
+# The conjunction intern table
 # ---------------------------------------------------------------------------
 
 
-class TestLRUCacheHammer:
-    def test_concurrent_put_get_evict(self):
-        # Small limit so every thread constantly crosses the eviction
-        # path; the old dict-based cache raised KeyError/RuntimeError
-        # here (concurrent del of the same key, dict resize mid-iteration).
-        cache = _LRUCache(limit=32)
-
-        def worker(seed):
-            rng = random.Random(seed)
-
-            def go():
-                for i in range(3000):
-                    key = rng.randrange(100)
-                    if rng.random() < 0.5:
-                        cache.put(key, key * 2)
-                    else:
-                        value = cache.get(key)
-                        assert value is None or value == key * 2
-                    if i % 500 == 0:
-                        assert len(cache) <= 32
-
-            return go
-
-        run_threads([worker(s) for s in range(8)])
-        assert len(cache) <= 32
-
-    def test_concurrent_clear_is_safe(self):
-        cache = _LRUCache(limit=64)
-        stop = threading.Event()
-
-        def putter():
-            i = 0
-            while not stop.is_set():
-                cache.put(i % 200, i)
-                cache.get((i * 7) % 200)
-                i += 1
-
-        def clearer():
-            for _ in range(50):
-                cache.clear()
-                time.sleep(0.001)
-            stop.set()
-
-        run_threads([putter, putter, clearer])
-        assert len(cache) <= 64
-
+class TestInternTableHammer:
     def test_public_condition_api_under_contention(self):
-        # The real module-level caches, through their public entry
-        # points: interning, conjunction, satisfiability.  Any torn
-        # cache state surfaces as an exception or a wrong verdict.
+        # Builders intern overlapping conjunctions (directly and through
+        # ``and_also``) while a collector drops every shared reference and
+        # runs the garbage collector, so table entries die and get rebuilt
+        # mid-lookup.  A torn table surfaces as an exception, a
+        # conjunction that does not hold its own atoms, a hash that
+        # disagrees with a fresh one, or a flipping verdict.
         conjunctions = [
             parse_conjunction(text)
             for text in (
@@ -136,22 +91,52 @@ class TestLRUCacheHammer:
                 "?u = v, ?w != v",
             )
         ]
+        pool = sorted({atom for c in conjunctions for atom in c}, key=Atom.sort_key)
+        held: list[Conjunction] = []
+        stop = threading.Event()
 
-        def worker(seed):
+        def check(result, parts):
+            expected = tuple(sorted(set(parts), key=Atom.sort_key))
+            assert result.atoms == expected
+            assert result == Conjunction(reversed(parts))
+            assert hash(result) == hash(Conjunction(parts)) == hash(("Conjunction", expected))
+            verdict = result.is_satisfiable()
+            assert verdict == (result.solve() is not None)
+            assert Conjunction(parts).is_satisfiable() == verdict
+
+        def builder(seed):
             rng = random.Random(seed)
 
             def go():
-                for _ in range(400):
-                    a = rng.choice(conjunctions)
-                    b = rng.choice(conjunctions)
-                    merged = conjoin(a, b)
-                    assert intern_conjunction(merged).atoms == merged.atoms
-                    # Satisfiability must be deterministic under contention.
-                    assert merged.is_satisfiable() == merged.is_satisfiable()
+                for _ in range(1500):
+                    atoms = rng.sample(pool, rng.randint(0, 4))
+                    other = rng.choice(conjunctions)
+                    built = Conjunction(atoms)
+                    merged = built.and_also(other)
+                    check(built, atoms)
+                    check(merged, atoms + list(other.atoms))
+                    held.append(merged)
 
             return go
 
-        run_threads([worker(s) for s in range(6)])
+        def collector():
+            while not stop.is_set():
+                held.clear()
+                gc.collect()
+                time.sleep(0.001)
+
+        def builders():
+            try:
+                run_threads([builder(s) for s in range(6)])
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-lookup
+        try:
+            run_threads([builders, collector])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Condition interning and memoised satisfiability.
+"""Hash-consed conjunctions and the per-node condition memos.
 
-The caches in :mod:`repro.core.conditions` are pure memoisation: every
-cached verdict must equal what a fresh computation returns, including
-after substitution and negation reshape a condition into one already
-seen (or not).  ``solve()`` is used as the cache-free cross-check for
-satisfiability (it re-runs congruence closure every call); DNF emptiness
-cross-checks the trivially-false detector.
+Every memo in :mod:`repro.core.conditions` is derived data: a
+conjunction's satisfiability verdict lives on its interned instance and
+a boolean tree's ``trivially_false`` is computed when the node is built.
+Each must equal what a fresh computation returns, including after
+substitution and negation reshape a condition into one already seen (or
+not).  ``solve()`` is the memo-free cross-check for satisfiability (it
+re-runs congruence closure every call); DNF emptiness cross-checks the
+trivially-false flag.
 """
 
 from __future__ import annotations
 
+import gc
 import random
-
-import pytest
 
 from repro.core.conditions import (
     BOOL_FALSE,
@@ -23,22 +24,11 @@ from repro.core.conditions import (
     Conjunction,
     Eq,
     Neq,
-    clear_condition_caches,
-    condition_cache_stats,
-    condition_is_trivially_false,
-    conjoin,
-    intern_conjunction,
+    _INTERNED,
 )
 from repro.core.terms import Constant, Variable
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_condition_caches()
-    yield
-    clear_condition_caches()
 
 
 def _random_conjunction(rng: random.Random) -> Conjunction:
@@ -56,27 +46,17 @@ class TestSatisfiabilityCache:
         for _ in range(300):
             conj = _random_conjunction(rng)
             cached = conj.is_satisfiable()
-            # solve() re-derives the closure on every call (no cache): the
+            # solve() re-derives the closure on every call (no memo): the
             # two must agree, and a repeat lookup must not flip the verdict.
             assert cached == (conj.solve() is not None)
             assert conj.is_satisfiable() == cached
-
-    def test_repeat_queries_hit_the_cache(self):
-        conj = Conjunction([Eq(x, 1), Neq(x, y)])
-        conj.is_satisfiable()
-        before = condition_cache_stats()
-        # A structurally equal conjunction shares the cache entry.
-        Conjunction([Eq(x, 1), Neq(x, y)]).is_satisfiable()
-        after = condition_cache_stats()
-        assert after["sat_hits"] == before["sat_hits"] + 1
-        assert after["sat_misses"] == before["sat_misses"]
 
     def test_consistency_under_substitution(self):
         rng = random.Random(0xBEE)
         values = [Constant(0), Constant(1), x, y]
         for _ in range(200):
             conj = _random_conjunction(rng)
-            conj.is_satisfiable()  # prime the cache with the original
+            conj.is_satisfiable()  # memoise the original's verdict
             mapping = {v: rng.choice(values) for v in (x, y, z)}
             substituted = conj.substitute(mapping)
             assert substituted.is_satisfiable() == (substituted.solve() is not None)
@@ -101,29 +81,41 @@ class TestSatisfiabilityCache:
 
 class TestInterning:
     def test_interning_is_idempotent_and_canonical(self):
-        a = Conjunction([Eq(x, 1), Neq(y, 2)])
-        b = Conjunction([Neq(y, 2), Eq(x, 1)])  # same canonical atom tuple
-        assert intern_conjunction(a) is intern_conjunction(b)
-        assert intern_conjunction(a) is intern_conjunction(a)
+        atoms = [Eq(x, 1), Neq(y, 2)]
+        a = Conjunction(atoms)
+        assert Conjunction(reversed(atoms)) is a  # same canonical atom tuple
+        assert Conjunction(a.atoms) is a
+        assert a.and_also(Conjunction([Eq(x, 1)])) is a
 
     def test_interned_instance_is_semantically_identical(self):
         a = Conjunction([Eq(x, 1)])
-        canon = intern_conjunction(a)
+        canon = Conjunction([Eq(x, 1)])
         assert canon == a
         assert canon.is_satisfiable() == a.is_satisfiable()
 
-    def test_conjoin_matches_and_also(self):
-        rng = random.Random(0xF00)
-        for _ in range(100):
-            a, b = _random_conjunction(rng), _random_conjunction(rng)
-            assert conjoin(a, b) == a.and_also(b)
+    def test_payload_type_separates_instances(self):
+        # 1 == True in Python, but Constant(1) != Constant(True).
+        one = Conjunction([Eq(x, 1)])
+        true = Conjunction([Eq(x, True)])
+        assert one is not true
+        assert one != true
+        assert Conjunction([Eq(x, True)]) is true
 
-    def test_conjoin_memoises(self):
-        a, b = Conjunction([Eq(x, 1)]), Conjunction([Neq(y, 2)])
-        first = conjoin(a, b)
-        before = condition_cache_stats()["conjoin_hits"]
-        assert conjoin(a, b) is first
-        assert condition_cache_stats()["conjoin_hits"] == before + 1
+    def test_unreferenced_conjunction_leaves_the_table(self):
+        probe = Variable("interning_probe")
+        conj = Conjunction([Eq(probe, 12345), Neq(probe, 0)])
+        key = conj.atoms
+        assert _INTERNED.get(key) is conj
+        del conj
+        gc.collect()
+        assert key not in _INTERNED
+        # One-shot conjunctions never accumulate: the table holds only
+        # what something still references.
+        before = len(_INTERNED)
+        for i in range(5000):
+            Conjunction([Eq(probe, i), Neq(probe, i + 1)]).is_satisfiable()
+        gc.collect()
+        assert len(_INTERNED) <= before
 
 
 class TestTriviallyFalseCache:
@@ -136,129 +128,27 @@ class TestTriviallyFalseCache:
                 for _ in range(rng.randint(1, 3))
             ]
             tree = (BoolAnd if rng.random() < 0.5 else BoolOr)(tuple(atoms))
-            if condition_is_trivially_false(tree):
+            if tree.trivially_false:
                 # Trivially false must imply genuinely unsatisfiable.
                 assert tree.to_dnf() == ()
-            # Memoised verdicts are stable.
-            assert condition_is_trivially_false(tree) == condition_is_trivially_false(tree)
+            # A rebuilt equal tree carries the same verdict.
+            assert type(tree)(tree.children).trivially_false == tree.trivially_false
 
     def test_constants(self):
-        assert not condition_is_trivially_false(BOOL_TRUE)
-        assert condition_is_trivially_false(BOOL_FALSE)
+        assert not BOOL_TRUE.trivially_false
+        assert BOOL_FALSE.trivially_false
 
     def test_structural_cases(self):
         false_atom = BoolAtom(Neq(x, x))
         true_atom = BoolAtom(Eq(x, x))
-        assert condition_is_trivially_false(false_atom)
-        assert not condition_is_trivially_false(true_atom)
-        assert condition_is_trivially_false(BoolAnd((true_atom, false_atom)))
-        assert not condition_is_trivially_false(BoolOr((true_atom, false_atom)))
-        assert condition_is_trivially_false(BoolOr((false_atom, false_atom)))
+        assert false_atom.trivially_false
+        assert not true_atom.trivially_false
+        assert BoolAnd((true_atom, false_atom)).trivially_false
+        assert not BoolOr((true_atom, false_atom)).trivially_false
+        assert BoolOr((false_atom, false_atom)).trivially_false
 
     def test_negation_consistency(self):
         # not(trivially false atom) is trivially true, never trivially false.
         atom = BoolAtom(Neq(x, x))
-        assert condition_is_trivially_false(atom)
-        assert not condition_is_trivially_false(atom.negated())
-
-    def test_cache_hits_accumulate(self):
-        tree = BoolAnd((BoolAtom(Eq(x, 1)), BoolAtom(Neq(x, x))))
-        condition_is_trivially_false(tree)
-        before = condition_cache_stats()["trivially_false_hits"]
-        condition_is_trivially_false(tree)
-        assert condition_cache_stats()["trivially_false_hits"] == before + 1
-
-
-class TestLRUCacheEviction:
-    """The bounded caches evict least-recently-used, not wholesale.
-
-    The previous clear-on-overflow policy dropped hot entries with the
-    cold; the LRU keeps entries that are continually re-used alive across
-    arbitrarily many insertions of one-shot conditions (ROADMAP follow-up
-    from PR 1).
-    """
-
-    def test_lru_unit_behaviour(self):
-        from repro.core.conditions import _LRUCache
-
-        cache = _LRUCache(limit=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a": "b" is now oldest
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert len(cache) == 2
-
-    def test_put_refreshes_existing_key(self):
-        from repro.core.conditions import _LRUCache
-
-        cache = _LRUCache(limit=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # overwrite refreshes recency, keeps size
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert "b" not in cache
-        assert len(cache) == 2
-
-    def test_hot_sat_entries_survive_overflow(self):
-        from repro.core import conditions as cond_mod
-
-        cache = cond_mod._SAT_CACHE
-        old_limit = cache.limit
-        cache.limit = 8
-        try:
-            hot = Conjunction([Eq(x, 1), Neq(y, 0)])
-            hot.is_satisfiable()  # prime
-            # Flood with 5x the capacity of one-shot conjunctions, touching
-            # the hot entry between insertions so it stays recent.
-            for i in range(40):
-                Conjunction([Eq(x, i), Neq(y, i + 1), Neq(z, i)]).is_satisfiable()
-                assert hot.is_satisfiable()
-            assert len(cache) <= 8
-            before = condition_cache_stats()
-            hot.is_satisfiable()
-            after = condition_cache_stats()
-            assert after["sat_hits"] == before["sat_hits"] + 1
-            assert after["sat_misses"] == before["sat_misses"]
-        finally:
-            cache.limit = old_limit
-
-    def test_cold_entries_are_evicted_not_everything(self):
-        from repro.core import conditions as cond_mod
-
-        cache = cond_mod._SAT_CACHE
-        old_limit = cache.limit
-        cache.limit = 4
-        try:
-            cold = Conjunction([Eq(x, 99)])
-            cold.is_satisfiable()
-            for i in range(10):
-                Conjunction([Eq(x, i), Neq(y, i)]).is_satisfiable()
-            before = condition_cache_stats()
-            cold.is_satisfiable()  # evicted long ago: a fresh miss
-            after = condition_cache_stats()
-            assert after["sat_misses"] == before["sat_misses"] + 1
-            # ...but the cache still holds the newest entries.
-            newest = Conjunction([Eq(x, 9), Neq(y, 9)])
-            mid = condition_cache_stats()
-            newest.is_satisfiable()
-            assert condition_cache_stats()["sat_hits"] == mid["sat_hits"] + 1
-        finally:
-            cache.limit = old_limit
-
-    def test_limit_resize_shrinks_and_zero_never_raises(self):
-        from repro.core.conditions import _LRUCache
-
-        cache = _LRUCache(limit=8)
-        for i in range(8):
-            cache.put(i, i)
-        cache.limit = 3
-        cache.put("new", 1)  # shrinks past the stale overhang
-        assert len(cache) <= 3
-        assert cache.get("new") == 1
-        cache.limit = 0
-        cache.put("again", 2)  # a non-positive limit must not raise
-        assert cache.get("again") == 2
+        assert atom.trivially_false
+        assert not atom.negated().trivially_false

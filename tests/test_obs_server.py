@@ -82,7 +82,6 @@ class TestMetricsEndpoint:
         assert "repro_queries_total" in body
         assert "repro_request_latency_seconds" in body
         assert 'repro_db_version{db="g"}' in body
-        assert "repro_condition_cache_total" in body
 
     def test_counters_move_with_traffic(self, served):
         _, client = served
@@ -157,7 +156,6 @@ class TestStatsEnrichment:
         client.query("g", PATH_QUERY)
         stats = client.stats()
         assert "slow_queries" in stats
-        assert "conditions" in stats
         g = stats["databases"]["g"]
         assert g["version"] >= 1  # the insert bumped the snapshot version
         assert g["tables"] == 1

@@ -485,7 +485,6 @@ class TestHttpApi:
             "latency",
             "slow_queries",
             "databases",
-            "conditions",
         }
         assert stats["queries"]["queries"] == 2
         assert stats["cache"]["hits"] == 1
@@ -548,6 +547,58 @@ class TestHttpApi:
         assert b"200" in status, response[:200]
         payload = json.loads(response.split(b"\r\n\r\n", 1)[1])
         assert row_values(table_from_json(payload["table"])) == {("a", "c")}
+
+    def test_keep_alive_requests_are_not_delayed(self, server_client):
+        """Regression: a reply's header and body go out in two sends, and
+        with Nagle's algorithm on the body waited for the client's delayed
+        ACK, about 40 ms per request on a reused connection."""
+        import http.client
+        import statistics
+        import time
+
+        server, _ = server_client
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        times = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                times.append((time.perf_counter() - start) * 1e3)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(times) < 20.0, times
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(self, server_client, length):
+        """Regression: ``abc`` answered 500 and ``-5`` answered 400
+        "malformed JSON body" with the body bytes left unread on the
+        connection.  Both must answer 400 and close the connection."""
+        import socket
+
+        server, client = server_client
+        host, port = server.server_address[:2]
+        body = json.dumps({"database": database_to_json(graph_db(("a", "b")))}).encode()
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /dbs/g HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %s\r\n\r\n" % length.encode() + body
+            )
+            response = b""
+            while True:  # the server must close the connection: read to EOF
+                piece = sock.recv(65536)
+                if not piece:
+                    break
+                response += piece
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400", response[:200]
+        assert json.loads(payload) == {"error": "bad Content-Length"}
+        assert client.databases() == []
 
     def test_many_clients_share_one_server(self, server_client):
         # A light concurrency smoke (the real stress lives in

@@ -228,7 +228,8 @@ class TestPickleRoundTrips:
     """The worker pool ships snapshots across process boundaries, so
     every value-object layer must survive pickling despite the
     immutability guards (``__setattr__`` raising breaks default slot
-    unpickling; ``pickles_by_slots`` restores state around the guard)."""
+    unpickling): terms and conditions pickle through their constructors,
+    tables and statistics through ``pickles_by_slots``."""
 
     def roundtrip(self, obj):
         import pickle
