@@ -133,8 +133,8 @@ def run_overhead(num_dims, dim_rows, fact_rows, iterations, seed) -> int:
         assert served_by == "inline", served_by
         return result.table
 
-    # Warm both paths (stats collection, condition-cache interning, the
-    # parser) before timing, and check they agree while we're at it.
+    # Warm both paths (the parser, the conjunctions the query interns)
+    # before timing, and check they agree while we're at it.
     if row_values(bare()) != row_values(dispatched()):
         print("  !! dispatcher and bare pipeline disagree", file=sys.stderr)
         return 1

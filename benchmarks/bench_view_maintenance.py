@@ -5,9 +5,9 @@ The serving scenario behind the ROADMAP's north star: a standing query
 after every write.  Two strategies answer it:
 
 * **full** — re-evaluate the view expression from scratch after every
-  update (through the DP-ordered planner, with a ``StatsStore`` so only
-  the touched table's statistics are recollected: the best the
-  query-at-a-time engine can do);
+  update (through the DP-ordered planner, which reads the tables'
+  statistics memos, so only the touched table's statistics are
+  recollected: the best the query-at-a-time engine can do);
 * **incremental** — a :class:`repro.views.ViewManager` attached to the
   update operators: inserts propagate as delta c-tables against cached
   subplan results, deletes/modifies recompute only the plan subtree
@@ -43,7 +43,7 @@ import time
 
 from repro.ctalgebra import evaluate_ct_ordered
 from repro.extensions import apply_update
-from repro.relational import Project, StatsStore
+from repro.relational import Project
 from repro.views import ViewManager
 from repro.workloads import star_join_database, star_join_expression, update_stream
 
@@ -73,26 +73,24 @@ def run_star(dim_rows, fact_rows, length, stride, floor, seed) -> int:
     )
     failures = 0
 
-    # Full re-evaluation per update (stats amortised through a store).
+    # Full re-evaluation per update (stats amortised through the memos).
     db = base
-    store = StatsStore(db)
     start = time.perf_counter()
     full_views = {}
     for position, op in enumerate(ops):
-        db = apply_update(db, op, stats=store)
-        view = evaluate_ct_ordered(expression, db, name="V", stats=store)
+        db = apply_update(db, op)
+        view = evaluate_ct_ordered(expression, db, name="V")
         if (position + 1) % stride == 0 or position + 1 == length:
             full_views[position] = set(view.rows)
     full_time = time.perf_counter() - start
 
     # Incremental maintenance through the ViewManager.
     db = base
-    store = StatsStore(db)
-    manager = ViewManager(db, stats=store)
+    manager = ViewManager(db)
     manager.define("V", expression)
     start = time.perf_counter()
     for position, op in enumerate(ops):
-        db = apply_update(db, op, stats=store, views=manager)
+        db = apply_update(db, op, views=manager)
         view = manager.get("V")  # the read-after-write serving pattern
         if (position + 1) % stride == 0 or position + 1 == length:
             if set(view.rows) != full_views[position]:

@@ -472,19 +472,18 @@ def _read_query_argument(query_arg: str) -> str:
 
 def _cmd_eval(args) -> int:
     from .queries.prepared import QueryError, execute, prepare
-    from .relational.stats import StatsStore
+    from .relational.stats import Statistics
 
     db = load_database_file(args.database)
-    # One statistics store for the whole invocation: the first query
-    # collects, every later query (and every re-planned view) hits the
-    # cache, so multi-query invocations amortise collection.  A None
-    # --histogram-buckets means the store's default bucket count.
+    # The database cannot change between queries, so one collection
+    # serves the whole invocation.  A None --histogram-buckets means the
+    # default bucket count.
     if args.naive:
-        store = None
+        stats = None
     elif args.histogram_buckets is None:
-        store = StatsStore(db)
+        stats = Statistics.collect(db)
     else:
-        store = StatsStore(db, buckets=args.histogram_buckets)
+        stats = Statistics.collect(db, buckets=args.histogram_buckets)
     for given, flag, why in (
         (args.explain, "--explain",
          "(nothing is planned); showing the compiled expression instead"),
@@ -521,7 +520,6 @@ def _cmd_eval(args) -> int:
             if hit is not None:
                 _show_view_answer(args, report, prepared, *hit)
                 continue
-        stats = None if store is None else store.snapshot()
         try:
             # The JSON report always carries explain lines, and for
             # Datalog the per-round deltas (the analyze payload).

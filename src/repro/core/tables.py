@@ -119,7 +119,7 @@ class Row:
 class CTable:
     """A conditioned table: rows, local conditions and a global condition."""
 
-    __slots__ = ("name", "arity", "rows", "global_condition", "_digest")
+    __slots__ = ("name", "arity", "rows", "global_condition", "_digest", "_stats")
 
     def __init__(
         self,
@@ -286,6 +286,31 @@ class CTable:
         value = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_digest", value)
         return value
+
+    def stats(self):
+        """This table's planner statistics
+        (:class:`~repro.relational.stats.TableStats`, default histogram
+        shape), memoised like :meth:`digest`.
+
+        A table is a value, so its statistics never go stale: an update
+        builds a new table with an empty memo, and
+        :meth:`TableDatabase.replacing` shares every untouched table —
+        memo included.  No lock: a lost race collects the same value
+        twice.  The memo pickles with the table.
+        """
+        try:
+            return self._stats
+        except AttributeError:
+            pass
+        from ..relational.stats import TableStats
+
+        value = TableStats.from_rows(self.name, self.arity, self.rows, self.global_condition)
+        object.__setattr__(self, "_stats", value)
+        return value
+
+    def has_stats(self) -> bool:
+        """Whether :meth:`stats` is already memoised."""
+        return hasattr(self, "_stats")
 
     # -- classification ------------------------------------------------------------
 

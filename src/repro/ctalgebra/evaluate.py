@@ -21,10 +21,10 @@ One walker (:func:`_eval`) serves every entry point:
   histogram-aware cost model re-order n-way join chains before
   execution — the Selinger DP (bushy plans) by default, the greedy
   left-deep orderer via ``ordering="greedy"``.  ``stats`` accepts a
-  pre-collected snapshot or a
-  :class:`repro.relational.stats.StatsStore` cache to amortise collection
-  across queries; pass an ``explain`` list to capture the ordering
-  decisions and per-predicate selectivities.
+  pre-collected snapshot (by default the tables' statistics memos are
+  read, so collection is paid once per table value); pass an
+  ``explain`` list to capture the ordering decisions and per-predicate
+  selectivities.
 * :func:`evaluate_ct_analyzed` — the same plan under EXPLAIN ANALYZE:
   the walker calls an observer around each node's operator
   (:class:`repro.obs.analyze.AnalyzeObserver`).  Without an observer the
@@ -114,11 +114,10 @@ def evaluate_ct_ordered(
 ) -> CTable:
     """Plan with statistics, re-order joins by cost, then evaluate.
 
-    ``stats`` defaults to a fresh collection over ``db`` (histograms
-    included; collect with ``buckets=0`` for the uniform model); pass a
-    pre-collected :class:`~repro.relational.stats.Statistics` or a
-    :class:`~repro.relational.stats.StatsStore` to amortise collection
-    across many queries.  ``ordering`` selects the Selinger DP (``"dp"``,
+    ``stats`` defaults to ``db``'s statistics (each table's memo,
+    histograms included); pass a pre-collected
+    :class:`~repro.relational.stats.Statistics` for another shape, e.g.
+    ``buckets=0`` for the uniform model.  ``ordering`` selects the Selinger DP (``"dp"``,
     the default, bushy plans) or the greedy left-deep orderer
     (``"greedy"``).  ``explain``, if given, accumulates one line per
     re-ordered join chain describing the chosen shape and the estimated
@@ -201,8 +200,7 @@ def evaluate_ct_database(
     With ``optimize=True`` every view runs through the cost-ordered path
     (:func:`evaluate_ct_ordered`) and statistics are collected **once**
     and shared by all view expressions; ``stats`` accepts a pre-collected
-    snapshot or a :class:`~repro.relational.stats.StatsStore` to reuse a
-    cache across invocations.  ``stats`` and ``ordering`` only apply to
+    snapshot.  ``stats`` and ``ordering`` only apply to
     the optimized path — the naive evaluator plans nothing.
     """
     if optimize:

@@ -23,24 +23,18 @@ are the "right" representation, and e-/i-/g-tables are not):
 Both operations are per-row syntactic rewrites — constant work per row,
 so updates are PTIME in the table size, matching [1].
 
-Each operation accepts an optional ``stats``
-(:class:`repro.relational.stats.StatsStore`): the touched relation's
-cached statistics are invalidated and the store is rebound to the
-returned database, so a long-lived store stays consistent across updates
-while untouched tables keep their cached statistics.  An optional
-``views`` (:class:`repro.views.ViewManager`) is notified the same way —
-after the update is validated and applied — so materialized views are
-maintained incrementally alongside the statistics invalidation; a
-raising update leaves both the store and the views untouched.
-Invalidation, view maintenance and store rebind happen inside one
-critical section under the store's lock, so a thread snapshotting the
-store concurrently can never observe the half-applied state between
-them (see :func:`_replace`).
+Each operation builds a new database and never edits the old one, so the
+new version of the touched table starts with an empty statistics memo
+(:meth:`repro.core.tables.CTable.stats`) while every untouched table,
+shared by :meth:`~repro.core.tables.TableDatabase.replacing`, keeps its
+own.  An optional ``views`` (:class:`repro.views.ViewManager`) is
+notified after the update is validated and applied, so materialized
+views are maintained incrementally; a raising update leaves the views
+untouched.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable
 
 from ..core.conditions import (
@@ -55,7 +49,7 @@ from ..core.conditions import (
 from ..core.tables import CTable, Row, TableDatabase
 from ..core.terms import Constant, as_constant
 
-__all__ = ["insert_fact", "delete_fact", "modify_fact", "apply_update"]
+__all__ = ["insert_fact", "delete_fact", "modify_fact", "apply_update", "check_update"]
 
 
 def _unification_atoms(row: Row, target: tuple[Constant, ...]) -> list | None:
@@ -76,9 +70,16 @@ def _unification_atoms(row: Row, target: tuple[Constant, ...]) -> list | None:
 
 def _ground_target(db: TableDatabase, relation: str, fact: Iterable):
     """Coerce ``fact`` to constants and check it against the relation's
-    arity; returns ``(table, target)`` without touching the database."""
+    arity; returns ``(table, target)`` without touching the database.
+
+    Raises ``KeyError`` for an unknown relation and ``ValueError`` for a
+    value that is not a constant or a fact of the wrong arity.
+    """
     table = db[relation]
-    target = tuple(as_constant(v) for v in fact)
+    try:
+        target = tuple(as_constant(v) for v in fact)
+    except TypeError:
+        raise ValueError(f"fact values must be constants: {fact!r}") from None
     if len(target) != table.arity:
         raise ValueError(
             f"fact has arity {len(target)}, relation {relation!r} expects {table.arity}"
@@ -87,7 +88,7 @@ def _ground_target(db: TableDatabase, relation: str, fact: Iterable):
 
 
 def insert_fact(
-    db: TableDatabase, relation: str, fact: Iterable, stats=None, views=None
+    db: TableDatabase, relation: str, fact: Iterable, views=None
 ) -> TableDatabase:
     """Insert a (ground) fact into every possible world.
 
@@ -96,11 +97,11 @@ def insert_fact(
     """
     table, target = _ground_target(db, relation, fact)
     updated = table.with_rows(tuple(table.rows) + (Row(target),))
-    return _replace(db, updated, stats, views, ("insert", target))
+    return _replace(db, updated, views, "insert", target)
 
 
 def delete_fact(
-    db: TableDatabase, relation: str, fact: Iterable, stats=None, views=None
+    db: TableDatabase, relation: str, fact: Iterable, views=None
 ) -> TableDatabase:
     """Delete a fact from every possible world.
 
@@ -130,66 +131,44 @@ def delete_fact(
         if condition == BOOL_FALSE:
             continue
         rows.append(Row(row.terms, condition))
-    return _replace(db, table.with_rows(rows), stats, views, ("delete", target))
+    return _replace(db, table.with_rows(rows), views, "delete", target)
 
 
 def modify_fact(
-    db: TableDatabase, relation: str, old: Iterable, new: Iterable, stats=None, views=None
+    db: TableDatabase, relation: str, old: Iterable, new: Iterable, views=None
 ) -> TableDatabase:
     """Replace ``old`` by ``new`` in every possible world (delete + insert)."""
     # Validate ``new`` before any rewrite: if the insert would fail, the
-    # stats store (and view manager) must not see the half-updated
-    # intermediate.
+    # view manager must not see the half-updated intermediate.
     _, new_target = _ground_target(db, relation, new)
-    return insert_fact(
-        delete_fact(db, relation, old, stats, views), relation, new_target, stats, views
-    )
+    return insert_fact(delete_fact(db, relation, old, views), relation, new_target, views)
 
 
-def apply_update(db: TableDatabase, op, stats=None, views=None) -> TableDatabase:
+def apply_update(db: TableDatabase, op, views=None) -> TableDatabase:
     """Apply one update-stream operation (see
     :func:`repro.workloads.update_stream`): ``("insert", rel, fact)``,
     ``("delete", rel, fact)`` or ``("modify", rel, old, new)``."""
     kind = op[0]
     if kind == "insert":
-        return insert_fact(db, op[1], op[2], stats, views)
+        return insert_fact(db, op[1], op[2], views)
     if kind == "delete":
-        return delete_fact(db, op[1], op[2], stats, views)
+        return delete_fact(db, op[1], op[2], views)
     if kind == "modify":
-        return modify_fact(db, op[1], op[2], op[3], stats, views)
+        return modify_fact(db, op[1], op[2], op[3], views)
     raise ValueError(f"unknown update operation {kind!r}")
 
 
-def _replace(db: TableDatabase, table: CTable, stats, views=None, change=None) -> TableDatabase:
+def check_update(db: TableDatabase, op) -> None:
+    """Raise what :func:`apply_update` would raise for ``op``'s facts on
+    ``db`` — ``KeyError`` for an unknown relation, ``ValueError`` for a
+    non-constant value or a wrong arity — without applying it."""
+    for fact in op[2:]:
+        _ground_target(db, op[1], fact)
+
+
+def _replace(db: TableDatabase, table: CTable, views, kind: str, target) -> TableDatabase:
     updated = db.replacing(table)
-    # Invalidation, view maintenance and rebind form ONE critical section
-    # under the stats store's lock: a concurrent reader snapshotting
-    # between the invalidation and the rebind would recollect the touched
-    # table from the *outgoing* database and poison the cache with
-    # statistics for a version that no longer exists.  The lock is
-    # reentrant and the view manager's own notifications re-acquire it
-    # (shared store) or its private store's lock (separate stores).
-    with _mutation_lock(stats, views):
-        if stats is not None:
-            stats.invalidate(table.name)
-            stats.rebind(updated)
-        if views is not None and change is not None:
-            kind, target = change
-            if kind == "insert":
-                views.notify_insert(table.name, target, updated)
-            else:
-                views.notify_delete(table.name, target, updated)
-    return updated
-
-
-def _mutation_lock(stats, views):
-    """The lock covering a stats/view mutation, or a no-op stand-in.
-
-    Prefers the stats store's lock; falls back to the view manager's
-    (which is its own store's) when only views ride along.
-    """
-    if stats is not None:
-        return stats.lock
     if views is not None:
-        return views.lock
-    return nullcontext()
+        notify = views.notify_insert if kind == "insert" else views.notify_delete
+        notify(table.name, target, updated)
+    return updated

@@ -149,8 +149,8 @@ def execute(
     """Evaluate a prepared query over one database version.
 
     ``stats`` is the matching :class:`~repro.relational.stats.Statistics`
-    cut or a :class:`~repro.relational.stats.StatsStore` (collected from
-    ``db`` when ``None``; unused under ``naive``).  ``naive`` runs the
+    cut (read from ``db``'s statistics memos when ``None``; unused under
+    ``naive``).  ``naive`` runs the
     oracle: the literal select-over-product evaluator for a UCQ, the
     whole-program refixpoint for a program.  Raises :class:`QueryError`
     (``evaluation: ...``).

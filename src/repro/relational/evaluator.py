@@ -41,9 +41,8 @@ def evaluate_to_relation(
     join-ordering pass (:mod:`repro.relational.planner`) before executing;
     the result is identical, joins just associate in a cheaper order.
     ``stats`` takes a pre-collected
-    :class:`~repro.relational.stats.Statistics` (or a
-    :class:`~repro.relational.stats.StatsStore` cache) to avoid
-    re-scanning the instance per expression; ``ordering`` selects the
+    :class:`~repro.relational.stats.Statistics` to avoid re-scanning the
+    instance per expression; ``ordering`` selects the
     Selinger DP (``"dp"``, default) or the greedy orderer (``"greedy"``).
     """
     if optimize:

@@ -84,7 +84,7 @@ from .algebra import (
     Select,
     Union,
 )
-from .stats import CardEstimate, Statistics, estimate, join_estimate, resolve_stats
+from .stats import CardEstimate, Statistics, estimate, join_estimate
 
 __all__ = [
     "plan",
@@ -117,18 +117,15 @@ def plan(
     With ``stats``, n-way join chains are additionally re-ordered by the
     cost model: ``ordering="dp"`` (the default) runs the Selinger-style
     bushy dynamic program (:func:`order_joins_dp`), ``ordering="greedy"``
-    the left-deep greedy orderer (:func:`order_joins`).  ``stats`` may be
-    a :class:`~repro.relational.stats.Statistics` snapshot or a
-    :class:`~repro.relational.stats.StatsStore` (snapshotted here).
-    ``explain``, if given, is a list that accumulates human-readable
-    lines describing each ordering decision, including the selectivity
-    each leaf selection predicate was charged (and whether it came from
-    an MCV, a histogram bucket, or the uniform fallback).
+    the left-deep greedy orderer (:func:`order_joins`).  ``explain``, if
+    given, is a list that accumulates human-readable lines describing
+    each ordering decision, including the selectivity each leaf
+    selection predicate was charged (and whether it came from an MCV, a
+    histogram bucket, or the uniform fallback).
     """
     if ordering not in ("greedy", "dp"):
         raise PlanError(f"unknown join ordering {ordering!r} (use 'greedy' or 'dp')")
     planned = _plan(expression)
-    stats = resolve_stats(stats)
     if stats is not None:
         if ordering == "dp":
             planned = order_joins_dp(planned, stats, explain)

@@ -12,8 +12,8 @@ Statistics are collected in one pass over a database — either a c-table
   summarising the value distribution: the most common values (MCVs) of
   skewed columns tracked exactly, the remainder bucketed into an
   equi-depth histogram (bucket count configurable via
-  ``Statistics.collect(..., buckets=N)`` / ``StatsStore(buckets=N)``;
-  ``buckets=0`` disables histograms and falls back to the uniform model).
+  ``Statistics.collect(..., buckets=N)``; ``buckets=0`` disables
+  histograms and falls back to the uniform model).
 
 Collection is **condition-aware**: a variable-bearing cell whose local
 (or global) condition *pins* the variable — ``Eq(x, c)`` entailed by the
@@ -45,20 +45,19 @@ Selinger DP avoid plans that look cheap under a uniform-frequency
 assumption and explode on skewed (Zipf-like) data — see
 ``benchmarks/bench_histogram_selectivity.py``.
 
-:class:`Statistics` snapshots are immutable; :class:`StatsStore` is the
-mutable cache that sits in front of them.  A store collects each table's
-statistics (histograms included) at most once, serves :class:`Statistics`
-snapshots to many queries, and drops a single table's entry on mutation
-(:meth:`StatsStore.invalidate`) so the next snapshot recollects only
-what changed.  The update operators in :mod:`repro.extensions.updates`
-and the multi-query paths (``repro eval`` with several queries,
-:func:`repro.ctalgebra.evaluate.evaluate_ct_database`) are wired through
-a store so repeated queries amortise collection.
+Statistics are a function of the table they describe, and c-tables are
+immutable values, so a table's default-shape :class:`TableStats` is a
+memo on the table itself (:meth:`repro.core.tables.CTable.stats`):
+collected at most once per table value, shared by every database
+version that shares the table (:meth:`~repro.core.tables.TableDatabase.
+replacing`), never stale, and pickled along with the table.
+:meth:`Statistics.collect` reads those memos; an ``Instance`` source or
+a non-default ``buckets``/``mcv_limit`` collects afresh instead.
+:class:`StatsStore` is what remains of a cache: a session's collection
+counter.
 """
 
 from __future__ import annotations
-
-import threading
 
 from bisect import bisect_right
 from typing import Iterable, Mapping, Sequence
@@ -636,165 +635,67 @@ class Statistics:
 
         ``buckets`` configures the per-column equi-depth histograms
         (``0`` disables them, reverting to the uniform-frequency model);
-        ``mcv_limit`` caps the most-common-value lists.
+        ``mcv_limit`` caps the most-common-value lists.  With the default
+        shape, a ``TableDatabase``'s statistics are each table's memo
+        (:meth:`~repro.core.tables.CTable.stats`), collected at most once
+        per table value; an ``Instance`` or a non-default shape collects
+        afresh and leaves the memos alone.
         """
-        return Statistics(
-            TableStats.from_rows(
-                name, arity, rows, global_condition, buckets, mcv_limit
-            )
-            for name, arity, rows, global_condition in _iter_source_tables(source)
-        )
-
-
-def _iter_source_tables(source):
-    """Yield ``(name, arity, rows, global_condition)`` for every table.
-
-    Duck-typed to avoid import cycles: c-table databases iterate as tables
-    carrying ``.rows`` of :class:`~repro.core.tables.Row` (whose local
-    conditions feed pin detection) plus a global condition; instances
-    iterate as relation names with fact sets behind ``[]``.  The row
-    iterables are lazy, so a caller that skips a cached table pays
-    nothing for it.
-    """
-    for item in source:
-        if isinstance(item, str):  # Instance: iterates relation names
-            relation = source[item]
-            yield item, relation.arity, relation.facts, None
-        else:  # TableDatabase: iterates CTables
-            yield item.name, item.arity, item.rows, item.global_condition
+        default = buckets == DEFAULT_HISTOGRAM_BUCKETS and mcv_limit == DEFAULT_MCV_LIMIT
+        tables = []
+        for item in source:
+            if isinstance(item, str):  # Instance: iterates relation names
+                relation = source[item]
+                tables.append(TableStats.from_rows(
+                    item, relation.arity, relation.facts, None, buckets, mcv_limit
+                ))
+            elif default:  # TableDatabase: iterates CTables
+                tables.append(item.stats())
+            else:
+                tables.append(TableStats.from_rows(
+                    item.name, item.arity, item.rows, item.global_condition,
+                    buckets, mcv_limit,
+                ))
+        return Statistics(tables)
 
 
 class StatsStore:
-    """A mutable, per-database statistics cache.
+    """A session's source of :class:`Statistics`, with a collection count.
 
-    Where :meth:`Statistics.collect` rescans every table on every call, a
-    store bound to a database collects each table **once** (histograms
-    and all, shaped by the store's ``buckets``/``mcv_limit``) and serves
-    the cached :class:`TableStats` to every subsequent :meth:`snapshot`.
-    Mutating code (see :mod:`repro.extensions.updates`) calls
-    :meth:`invalidate` with the touched relation and :meth:`rebind` with
-    the updated database, so the next snapshot recollects only that
-    relation; untouched tables keep their cached statistics.
-
-    ``table_collections`` counts per-table collection passes — the
-    benchmarks use it to prove amortisation (N queries over a k-table
-    database should show k collections, not N*k).
-
-    A store is safe to share across threads: every operation holds
-    :attr:`lock` (a reentrant lock, also exported so the update path can
-    make *invalidate → view maintenance → rebind* one critical section —
-    see :func:`repro.extensions.updates` — and readers can never snapshot
-    between the invalidation and the rebind, which would collect the
-    invalidated table from the outgoing database and poison the cache
-    with statistics for a version that no longer exists).
+    The statistics themselves are memos on the immutable tables
+    (:meth:`~repro.core.tables.CTable.stats`), so there is nothing to
+    cache or invalidate here: :meth:`snapshot` reads the memos of the
+    database it is given and counts in ``table_collections`` each memo
+    it had to fill.  The benchmarks use the count to prove amortisation
+    (N queries over a k-table database show k collections, not N*k).
+    The count is not locked: a session snapshots under its write lock.
     """
 
-    __slots__ = ("_source", "_cache", "lock", "table_collections", "buckets", "mcv_limit")
+    __slots__ = ("table_collections",)
 
-    def __init__(
-        self,
-        source=None,
-        buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-        mcv_limit: int = DEFAULT_MCV_LIMIT,
-    ) -> None:
-        self._source = source
-        self._cache: dict[str, TableStats] = {}
-        #: Guards the cache and binding; reentrant so a holder can call
-        #: back into the store (snapshot inside an update's critical
-        #: section, view maintenance sharing the store, ...).
-        self.lock = threading.RLock()
+    def __init__(self) -> None:
         self.table_collections = 0
-        self.buckets = int(buckets)
-        self.mcv_limit = int(mcv_limit)
-
-    def __repr__(self) -> str:
-        with self.lock:
-            return f"StatsStore(cached={sorted(self._cache)})"
-
-    def __contains__(self, name: str) -> bool:
-        with self.lock:
-            return name in self._cache
-
-    def __len__(self) -> int:
-        with self.lock:
-            return len(self._cache)
-
-    @property
-    def source(self):
-        return self._source
 
     def counters(self) -> dict:
-        """Collection telemetry for ``/stats`` and ``/metrics``:
-        lifetime per-table collection passes and the current cache
-        shape."""
-        with self.lock:
-            return {
-                "table_collections": self.table_collections,
-                "cached_tables": len(self._cache),
-                "buckets": self.buckets,
-            }
+        """Collection telemetry for ``/stats`` and ``/metrics``."""
+        return {"table_collections": self.table_collections}
 
-    def rebind(self, source) -> None:
-        """Point the store at a new version of the database.
-
-        Cached per-table statistics are kept — pair with
-        :meth:`invalidate` for the relations that actually changed, and
-        hold :attr:`lock` across the pair so no concurrent snapshot can
-        interleave between them.
-        """
-        with self.lock:
-            self._source = source
-
-    def invalidate(self, *names: str) -> None:
-        """Drop the cached statistics of the named tables."""
-        with self.lock:
-            for name in names:
-                self._cache.pop(name, None)
-
-    def clear(self) -> None:
-        """Drop every cached table (full recollection on next snapshot)."""
-        with self.lock:
-            self._cache.clear()
-
-    def snapshot(self, source=None) -> Statistics:
-        """An immutable :class:`Statistics` snapshot of the bound source.
-
-        Serves cached tables and collects only the missing (or
-        arity-changed) ones.  Passing ``source`` rebinds the store first;
-        with no source at all the snapshot contains whatever is cached.
-        """
-        with self.lock:
-            if source is not None:
-                self._source = source
-            if self._source is None:
-                return Statistics(dict(self._cache))
-            tables: dict[str, TableStats] = {}
-            for name, arity, rows, global_condition in _iter_source_tables(self._source):
-                cached = self._cache.get(name)
-                if cached is None or cached.arity != arity:
-                    cached = TableStats.from_rows(
-                        name, arity, rows, global_condition, self.buckets, self.mcv_limit
-                    )
-                    self._cache[name] = cached
-                    self.table_collections += 1
-                tables[name] = cached
-            return Statistics(tables)
+    def snapshot(self, db) -> Statistics:
+        """The :class:`Statistics` cut of ``db``, read from its tables' memos."""
+        self.table_collections += sum(1 for table in db if not table.has_stats())
+        return Statistics.collect(db)
 
 
 def resolve_stats(stats, source=None) -> "Statistics | None":
     """Normalise a ``stats`` argument to a :class:`Statistics` snapshot.
 
-    The planning entry points accept ``None``, a ready snapshot, or a
-    :class:`StatsStore`; this is the single place that resolves the
-    three.  ``None`` collects from ``source`` when one is given (and
-    stays ``None`` otherwise — the planner treats that as "skip the
-    ordering pass"); a store snapshots against ``source`` when given,
-    else against whatever the store is bound to.
+    The planning entry points accept ``None`` or a ready snapshot.
+    ``None`` collects from ``source`` when one is given (and stays
+    ``None`` otherwise — the planner treats that as "skip the ordering
+    pass").
     """
-    if stats is None:
-        return Statistics.collect(source) if source is not None else None
-    if isinstance(stats, StatsStore):
-        return stats.snapshot(source)
+    if stats is None and source is not None:
+        return Statistics.collect(source)
     return stats
 
 

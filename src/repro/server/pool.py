@@ -16,15 +16,17 @@ Three cooperating pieces, composed by :class:`QueryDispatcher`:
     each worker holds and ships **structural-sharing deltas** — only the
     member tables whose :meth:`~repro.core.tables.CTable.digest` changed
     (identity fast-path first, since ``replacing`` shares unchanged
-    tables) — instead of whole databases.  Statistics ride along only
-    when the snapshot changes.  Workers use the ``spawn`` start method:
+    tables) — instead of whole databases.  Each shipped table carries its
+    statistics memo (:meth:`~repro.core.tables.CTable.stats`) in its
+    pickle, so workers plan without collecting and nothing ships
+    statistics separately.  Workers use the ``spawn`` start method:
     the pool lives inside a threaded HTTP server, and forking a threaded
     process can clone held locks into the child (respawns happen
     mid-serving); a clean interpreter per worker is slower to start but
     cannot deadlock, and workers are long-lived.
 
 :class:`RequestCache`
-    A bounded LRU of query results keyed by ``(database, version,
+    A bounded LRU of query results keyed by ``(session, version,
     fingerprint, options)``.  Versions are monotone per session, so
     invalidation is free: a version bump simply stops producing the old
     key.  Hit/miss counters feed ``/stats``.
@@ -80,19 +82,20 @@ DEFAULT_POOL_TIMEOUT = 30.0
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(db: TableDatabase, stats, query_text: str, options: dict) -> tuple:
+def _evaluate(db: TableDatabase, query_text: str, options: dict) -> tuple:
     """Worker-side evaluation: the in-process ``prepare`` and ``execute``
     on the query text (plans do not pickle; views are matched in the
-    main process).  The dispatcher's trace id rides
-    ``options["trace_id"]`` and is echoed back in the ``"ok"`` reply —
-    one id per request, across the process boundary.
+    main process), planned from the shipped tables' statistics memos.
+    The dispatcher's trace id rides ``options["trace_id"]`` and is
+    echoed back in the ``"ok"`` reply — one id per request, across the
+    process boundary.
     """
     trace_id = options.get("trace_id")
     try:
         with start_trace(name="worker", trace_id=trace_id):
             prepared = prepare(query_text, ordering=options.get("ordering") or "dp")
             execution = execute(
-                prepared, db, stats,
+                prepared, db,
                 naive=bool(options.get("naive")), explain=bool(options.get("explain")),
             )
     except QueryError as exc:
@@ -103,7 +106,7 @@ def _evaluate(db: TableDatabase, stats, query_text: str, options: dict) -> tuple
 def _worker_main(conn) -> None:
     """Worker process loop: receive ``("query", ...)`` messages, keep a
     per-database snapshot cache, evaluate, reply.  ``None`` stops it."""
-    cache: dict[str, tuple[TableDatabase, object]] = {}
+    cache: dict[str, TableDatabase] = {}
     while True:
         try:
             message = conn.recv()
@@ -112,17 +115,14 @@ def _worker_main(conn) -> None:
         if message is None:
             return
         try:
-            _kind, name, payload, stats, query_text, options = message
+            _kind, name, payload, query_text, options = message
             if payload[0] == "cached":
-                db, stats = cache[name]
+                db = cache[name]
             elif payload[0] == "delta":
-                base, _old_stats = cache[name]
-                db = base.replacing(*payload[1])
-                cache[name] = (db, stats)
+                db = cache[name] = cache[name].replacing(*payload[1])
             else:  # "full"
-                db = payload[1]
-                cache[name] = (db, stats)
-            reply = _evaluate(db, stats, query_text, options)
+                db = cache[name] = payload[1]
+            reply = _evaluate(db, query_text, options)
         except Exception as exc:  # pragma: no cover - defensive
             reply = ("err", "internal", f"{type(exc).__name__}: {exc}")
         try:
@@ -246,17 +246,16 @@ class WorkerPool:
         Identity match → nothing (the worker evaluates its cached
         snapshot); otherwise the changed-table delta when one exists,
         the full database when not (first contact, or incompatible
-        shapes).  Statistics accompany anything that changes the
-        worker's cached snapshot.
+        shapes).
         """
         known = slot.known.get(name)
         if known is not None:
             if known is snapshot.db:
-                return ("cached",), None
+                return ("cached",)
             delta = snapshot.db.delta_from(known)
             if delta is not None:
-                return ("delta", delta), snapshot.stats
-        return ("full", snapshot.db), snapshot.stats
+                return ("delta", delta)
+        return ("full", snapshot.db)
 
     def query(
         self,
@@ -278,7 +277,7 @@ class WorkerPool:
             return None
         replace = False
         try:
-            payload, stats = self._payload(slot, name, snapshot)
+            payload = self._payload(slot, name, snapshot)
             options = {
                 "ordering": ordering,
                 "naive": naive,
@@ -286,7 +285,7 @@ class WorkerPool:
                 "trace_id": trace_id,
             }
             try:
-                slot.conn.send(("query", name, payload, stats, query_text, options))
+                slot.conn.send(("query", name, payload, query_text, options))
             except (pickle.PicklingError, TypeError, AttributeError):
                 # dumps() failed before any bytes were written: the pipe
                 # is intact, only this payload can't cross it.  Forget
@@ -371,7 +370,10 @@ class RequestCache:
     """A bounded LRU of query results keyed by version + query fingerprint.
 
     Soundness is the version key: a session's versions are monotone and
-    every cached result was evaluated at exactly the version in its key,
+    every cached result was evaluated at exactly the version in its key
+    (the key names the session by its :attr:`~repro.server.session.
+    DatabaseSession.serial`, so a database dropped and re-created under
+    the same name starts from version 0 without meeting the old entries),
     so a lookup can only ever return an answer correct *for the version
     the caller asked about* — an update doesn't invalidate entries, it
     just moves new lookups to a new key and lets the old entries age out
@@ -560,7 +562,7 @@ class QueryDispatcher:
             self.cache is not None and not explain and not analyze
             and prepared.fingerprint is not None
         ):
-            key = (session.name, snap.version, prepared.fingerprint, ordering, naive, use_views)
+            key = (session.serial, snap.version, prepared.fingerprint, ordering, naive, use_views)
             hit = self.cache.get(key)
             if hit is not None:
                 return hit, "cache"

@@ -10,34 +10,38 @@ therefore needs only two disciplines:
 
 * **one writer at a time** — mutations run under the session's write
   lock, flowing through :func:`repro.extensions.updates.apply_update`
-  with the session's shared :class:`~repro.relational.stats.StatsStore`
-  and :class:`~repro.views.ViewManager` attached (each update is
-  copy-on-write: :meth:`TableDatabase.replacing` shares every untouched
-  c-table with the previous version);
-* **publish-then-read** — after every update the writer *publishes* a
+  with the session's :class:`~repro.views.ViewManager` attached (each
+  update is copy-on-write: :meth:`TableDatabase.replacing` shares every
+  untouched c-table with the previous version).  A batch is all or
+  nothing: every op is validated against the starting version before
+  any is applied;
+* **publish-then-read** — after every batch the writer *publishes* one
   new :class:`Snapshot`: the database version, an immutable
-  :class:`~repro.relational.stats.Statistics` cut (recollected only for
-  the touched table, via the store), and an immutable cut of every view
-  materialization.  Readers grab the published snapshot in one atomic
-  reference read and never touch mutable state again — no read lock, no
-  torn statistics, no half-maintained views, and a query that started
-  before an update finishes against exactly the version it started on.
+  :class:`~repro.relational.stats.Statistics` cut (each table's
+  statistics memo, filled here for the tables the batch rebuilt), and
+  an immutable cut of every view materialization.  Readers grab the
+  published snapshot in one atomic reference read and never touch
+  mutable state again — no read lock, no half-maintained views, and a
+  query that started before an update finishes against exactly the
+  version it started on.
 
 The snapshot-isolation invariant (enforced by the concurrent stress
 tests and ``benchmarks/bench_server_throughput.py``): every response is
 ``strong_canonicalize``-equal to evaluating the query against the
 database produced by *some prefix* of the update stream — namely the
-prefix of length ``snapshot.version``.
+prefix of length ``snapshot.version``.  Versions count ops, so a batch
+of ``n`` ops moves the version by ``n`` and publishes only the last.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from typing import Sequence
 
 from ..core.tables import CTable, TableDatabase
-from ..extensions.updates import apply_update
+from ..extensions.updates import apply_update, check_update
 from ..obs.tracing import current_trace
 from ..queries.prepared import PreparedQuery, QueryError, execute, match_view, prepare
 from ..relational.stats import Statistics, StatsStore
@@ -47,6 +51,9 @@ __all__ = ["SessionError", "Snapshot", "QueryResult", "DatabaseSession"]
 
 #: The update-op kinds a session accepts, with their payload arity.
 _OP_SHAPES = {"insert": 3, "delete": 3, "modify": 4}
+
+#: Source of :attr:`DatabaseSession.serial`.
+_SERIALS = itertools.count()
 
 
 class SessionError(ValueError):
@@ -136,12 +143,10 @@ class DatabaseSession:
     """A named database served to concurrent readers and writers.
 
     Lock discipline (see the module docstring): ``_write_lock``
-    serializes mutations (updates, view define/drop/refresh, persist);
-    the stats store's own lock — shared with the view manager — makes
-    each update's *invalidate → maintain views → rebind* atomic against
-    statistics readers; and readers take **no** lock at all: they read
-    the ``_snapshot`` reference once (a single atomic reference load)
-    and work on immutable data from then on.
+    serializes mutations (updates, view define/drop/refresh, persist),
+    and readers take **no** lock at all: they read the ``_snapshot``
+    reference once (a single atomic reference load) and work on
+    immutable data from then on.
     """
 
     def __init__(
@@ -153,12 +158,15 @@ class DatabaseSession:
         source_format: str = "json",
     ) -> None:
         self.name = name
+        #: Unique per session object, unlike ``name``, which a dropped
+        #: and re-created database reuses (the request cache keys on it).
+        self.serial = next(_SERIALS)
         self.source_path = source_path
         self.source_format = source_format
         self._ordering = ordering
         self._write_lock = threading.RLock()
-        self._store = StatsStore(db)
-        self._views = ViewManager(db, stats=self._store, ordering=ordering)
+        self._store = StatsStore()
+        self._views = ViewManager(db, ordering=ordering)
         self._snapshot: Snapshot | None = None
         self._publish(db, 0)
 
@@ -193,9 +201,10 @@ class DatabaseSession:
         """Build and publish the snapshot for a new version.
 
         Called with the write lock held (or from ``__init__``).  The
-        store recollects only invalidated tables, and the view cut is
-        O(number of views); the reference swap at the end is the single
-        point where readers move to the new version.
+        store fills the statistics memo of each table new in ``db``
+        (tables shared with the previous version keep theirs), and the
+        view cut is O(number of views); the reference swap at the end is
+        the single point where readers move to the new version.
         """
         stats = self._store.snapshot(db)
         views = self._views.materializations()
@@ -281,26 +290,27 @@ class DatabaseSession:
         """Apply update-stream operations; returns the new version.
 
         Each op is ``["insert", rel, fact]``, ``["delete", rel, fact]``
-        or ``["modify", rel, old, new]``.  Ops are applied and published
-        one at a time (each op is validated before any state changes, so
-        an op either fully applies or fully doesn't); a failing op in a
-        batch raises after the earlier ops have already been published —
-        batches are a convenience, not a transaction.
+        or ``["modify", rel, old, new]``.  The batch is all or nothing:
+        every op is validated against the current version first (ops
+        neither add relations nor change arities, so that check is
+        exact), and a bad op raises before anything changes.  Then the
+        ops are applied and published once, at ``version + len(ops)``.
         """
         ops = [self._check_op(op) for op in ops]
         with self._write_lock:
             snap = self._snapshot
+            try:
+                for op in ops:
+                    check_update(snap.db, op)
+            except KeyError as exc:
+                raise SessionError(f"update: unknown relation {exc}") from exc
+            except ValueError as exc:
+                raise SessionError(f"update: {exc}") from exc
             db = snap.db
-            version = snap.version
             for op in ops:
-                try:
-                    db = apply_update(db, op, stats=self._store, views=self._views)
-                except KeyError as exc:
-                    raise SessionError(f"update: unknown relation {exc}") from exc
-                except ValueError as exc:
-                    raise SessionError(f"update: {exc}") from exc
-                version += 1
-                self._publish(db, version)
+                db = apply_update(db, op, views=self._views)
+            version = snap.version + len(ops)
+            self._publish(db, version)
             return version
 
     @staticmethod
@@ -371,7 +381,7 @@ class DatabaseSession:
         with self._write_lock:
             snap = self._snapshot
             manager, stale = manager_from_registry(
-                registry, snap.db, digest, on_stale=on_stale, stats=self._store
+                registry, snap.db, digest, on_stale=on_stale, ordering=self._ordering
             )
             self._views = manager
             self._publish(snap.db, snap.version)
@@ -421,7 +431,7 @@ class DatabaseSession:
 
         Complements :meth:`info` (shape of the data) with *activity*:
         view-maintenance counters, the recent maintenance log, and the
-        statistics store's collection counts.  Reads the view manager's
+        statistics store's collection count.  Reads the view manager's
         state under its lock so a concurrent writer can't tear the cut.
         """
         snap = self._snapshot

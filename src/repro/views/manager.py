@@ -48,7 +48,10 @@ for a fixpoint; see :class:`_RecursiveView`).
 
 The manager plugs into the mutation path of
 :mod:`repro.extensions.updates`: ``insert_fact(db, ..., views=manager)``
-notifies the manager alongside the ``StatsStore`` invalidation.
+notifies the manager with the updated database.  Views are planned
+against the database's statistics memos
+(:meth:`~repro.core.tables.CTable.stats`), so there is no statistics
+cache to keep in step with it.
 Correctness is *representation-level*: after any update sequence, each
 maintained view ``rep``-equals a full re-evaluation of its expression
 over the updated database (the maintained rows may differ syntactically
@@ -58,6 +61,8 @@ disjunction — which is why the differential harness in
 """
 
 from __future__ import annotations
+
+import threading
 
 from typing import Iterable
 
@@ -96,7 +101,7 @@ from ..relational.algebra import (
 from ..obs.metrics import CounterGroup
 from ..queries.fixpoint import CTFixpoint, datalog_fingerprint
 from ..relational.planner import plan, plan_fingerprint, ra_of_ucq
-from ..relational.stats import StatsStore
+from ..relational.stats import Statistics
 
 __all__ = ["ViewManager", "ViewError"]
 
@@ -200,11 +205,8 @@ class _RecursiveView:
 class ViewManager:
     """Registry + incremental maintainer of materialized c-table views.
 
-    ``stats`` accepts a :class:`~repro.relational.stats.StatsStore` to
-    share with the caller's update path (the manager creates a private
-    one otherwise); it is used to cost-order each view's joins at
-    ``define``/``refresh`` time and is invalidated/rebound on every
-    notification, mirroring the updates contract.
+    Each view's joins are cost-ordered (``ordering``) against the
+    database's statistics when the view is defined.
 
     ``counters`` exposes the maintenance telemetry the benchmarks and
     ``--explain`` surface: ``delta_rows``/``removed_rows``/
@@ -219,15 +221,10 @@ class ViewManager:
     #: How many maintenance-log lines are retained.
     LOG_LIMIT = 50
 
-    def __init__(self, db: TableDatabase, stats: StatsStore | None = None, ordering: str = "dp") -> None:
+    def __init__(self, db: TableDatabase, ordering: str = "dp") -> None:
         self._db = db
-        self._store = stats if stats is not None else StatsStore(db)
-        #: The manager's critical-section lock — the stats store's
-        #: reentrant lock, shared so *invalidate stats → maintain views →
-        #: rebind store* is one atomic step from any concurrent reader's
-        #: point of view (see :mod:`repro.extensions.updates`).  Every
-        #: public entry point below acquires it.
-        self.lock = self._store.lock
+        #: Reentrant; every public entry point below acquires it.
+        self.lock = threading.RLock()
         self._ordering = ordering
         self._views: dict[str, _View] = {}
         self._nodes: dict[str, _PlanNode] = {}
@@ -290,8 +287,7 @@ class ViewManager:
                 source = self._compile(query)
             else:
                 source = query
-            snapshot = self._store.snapshot(self._db)
-            planned = plan(source, stats=snapshot, ordering=self._ordering)
+            planned = plan(source, stats=Statistics.collect(self._db), ordering=self._ordering)
             # Transactional: a failure while materializing (unknown relation,
             # arity mismatch) must not leave freshly-interned, partially
             # cached nodes behind — no view would own them, so notifications
@@ -340,9 +336,8 @@ class ViewManager:
                     f"recursive view output {chosen!r} is not a derived "
                     f"predicate of the program (have {sorted(compiled.idb)})"
                 )
-            snapshot = self._store.snapshot(self._db)
             try:
-                evaluation = compiled.evaluation(self._db, stats=snapshot)
+                evaluation = compiled.evaluation(self._db)
             except ValueError as exc:
                 raise ViewError(f"cannot materialize recursive view: {exc}") from exc
             self._views[name] = _RecursiveView(
@@ -449,8 +444,6 @@ class ViewManager:
                         "stale against the new database; rebind with db= alone"
                     )
                 self._db = db
-                self._store.clear()
-                self._store.rebind(db)
             self._epoch += 1
             views = [self._view(name)] if name is not None else list(self._views.values())
             for view in views:
@@ -571,8 +564,7 @@ class ViewManager:
     def _refixpoint(self, view: _RecursiveView) -> None:
         """Recompute a recursive view from scratch over the current
         database (the delete/modify/refresh fallback)."""
-        snapshot = self._store.snapshot(self._db)
-        view.evaluation = view.program.evaluation(self._db, stats=snapshot)
+        view.evaluation = view.program.evaluation(self._db)
         view.cache = view.evaluation.table(view.output, name=view.name)
         self.counters["refixpoint_recomputes"] += 1
 
@@ -645,11 +637,9 @@ class ViewManager:
         raise TypeError(f"unknown RA node: {expr!r}")
 
     def _begin(self, relation: str, db: TableDatabase, verb: str) -> list[_View]:
-        """Shared notification prologue: rebind the database and stats
-        store, bump the epoch, and find the dependent views."""
+        """Shared notification prologue: rebind the database, bump the
+        epoch, and find the dependent views."""
         self._db = db
-        self._store.invalidate(relation)
-        self._store.rebind(db)
         self._epoch += 1
         affected = [v for v in self._views.values() if relation in v.relations]
         if not affected:

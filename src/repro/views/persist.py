@@ -159,7 +159,7 @@ def manager_from_registry(
     db: TableDatabase,
     digest: str | None = None,
     on_stale: str = "error",
-    stats=None,
+    ordering: str = "dp",
 ) -> tuple[ViewManager, tuple[str, ...]]:
     """Rebuild a live :class:`ViewManager` from a registry dict.
 
@@ -173,7 +173,8 @@ def manager_from_registry(
     :class:`StaleViewRegistryError` naming them, ``"refresh"``
     re-materializes them against ``db`` anyway, ``"skip"`` leaves them
     out of the manager.  Returns ``(manager, stale_names)`` so callers
-    can report what was refreshed or skipped.
+    can report what was refreshed or skipped.  ``ordering`` is the new
+    manager's join-ordering strategy.
     """
     if on_stale not in ("error", "refresh", "skip"):
         raise ValueError(f"unknown on_stale policy {on_stale!r}")
@@ -191,7 +192,7 @@ def manager_from_registry(
             "with an explicit stale policy",
             stale,
         )
-    manager = ViewManager(db, stats=stats)
+    manager = ViewManager(db, ordering=ordering)
     for name, entry in sorted(views.items()):
         if name in stale and on_stale == "skip":
             continue

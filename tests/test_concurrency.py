@@ -5,10 +5,9 @@ Three families:
 * a hammer on the weak intern table behind hash-consed conjunctions
   (``repro.core.conditions``): threads build overlapping conjunctions
   while another drops references and collects garbage;
-* a regression test pinning the *invalidate → rebind* critical section
-  of :class:`~repro.relational.stats.StatsStore` (a reader snapshotting
-  between the two used to recollect the touched table from the outgoing
-  database and poison the cache);
+* readers collecting statistics from whichever database version they
+  read while a writer inserts: each collection describes exactly that
+  version (statistics are a memo on the immutable table);
 * reader/writer stress over :class:`~repro.server.session.DatabaseSession`
   asserting the snapshot-isolation invariant — every response equals
   evaluating the query against the database produced by the
@@ -39,7 +38,7 @@ from repro.ctalgebra.evaluate import evaluate_ct
 from repro.extensions.updates import insert_fact
 from repro.relational.parser import parse_query
 from repro.relational.planner import ra_of_ucq
-from repro.relational.stats import StatsStore
+from repro.relational.stats import Statistics
 from repro.server import DatabaseSession
 
 
@@ -140,74 +139,34 @@ class TestInternTableHammer:
 
 
 # ---------------------------------------------------------------------------
-# StatsStore: invalidate → rebind is one critical section
+# Statistics memos: readers collect from whichever version they read
 # ---------------------------------------------------------------------------
 
 
 class TestStatsAtomicity:
-    def test_snapshot_cannot_interleave_invalidate_and_rebind(self, monkeypatch):
-        """A reader snapshotting during an update must see the update
-        fully applied, never the invalidated-but-not-rebound limbo.
-
-        We widen the race window by making ``invalidate`` linger: the
-        update path holds the store lock across *invalidate → rebind*
-        (see ``repro.extensions.updates._replace``), so the concurrent
-        snapshot must block and then observe the new version.  Without
-        the critical section the snapshot runs in the window, recollects
-        the touched table from the *outgoing* database (2 rows) and
-        poisons the cache with statistics for a version that no longer
-        exists.
-        """
-        db = TableDatabase.single(codd_table("R", 2, [("a", "b"), ("b", "c")]))
-        store = StatsStore(db)
-        store.snapshot()  # warm the cache
-        invalidated = threading.Event()
-
-        original = StatsStore.invalidate
-
-        def lingering_invalidate(self, *names):
-            original(self, *names)
-            invalidated.set()
-            time.sleep(0.25)  # hold the race window open (lock still held)
-
-        monkeypatch.setattr(StatsStore, "invalidate", lingering_invalidate)
-
-        observed = {}
-
-        def writer():
-            insert_fact(db, "R", ("c", "d"), stats=store)
-
-        def reader():
-            assert invalidated.wait(5.0)
-            observed["rows"] = store.snapshot().get("R").rows
-
-        run_threads([writer, reader])
-        assert observed["rows"] == 3.0
-
     def test_store_survives_concurrent_snapshots_and_updates(self):
+        """Statistics are a memo on the immutable table, so a reader
+        that collects from the version it read describes exactly that
+        version, however many inserts land meanwhile."""
         db = TableDatabase.single(
             codd_table("R", 2, [(f"a{i}", f"b{i}") for i in range(10)])
         )
-        store = StatsStore(db)
         state = {"db": db}
         stop = threading.Event()
 
         def writer():
             current = state["db"]
             for i in range(40):
-                current = insert_fact(current, "R", (f"c{i}", f"d{i}"), stats=store)
+                current = insert_fact(current, "R", (f"c{i}", f"d{i}"))
                 state["db"] = current
             stop.set()
 
         def reader():
             while not stop.is_set():
-                stats = store.snapshot()
-                table = stats.get("R")
-                if table is not None:
-                    # Whatever version we hit, its stats are internally
-                    # consistent: a whole-table collection, never torn.
-                    assert 10.0 <= table.rows <= 50.0
-                    assert len(table.columns) == 2
+                version = state["db"]
+                table = Statistics.collect(version).get("R")
+                assert table.rows == len(version["R"])
+                assert len(table.columns) == 2
 
         run_threads([writer, reader, reader, reader])
 

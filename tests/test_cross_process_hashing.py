@@ -7,7 +7,12 @@ carried its parent's memoised hash into the child would compare equal
 to a freshly built twin there yet not be found in a set of them.  Every
 value class therefore pickles back through its constructor.
 
-The child below runs under an explicit ``PYTHONHASHSEED`` that differs
+A table's statistics memo (:meth:`~repro.core.tables.CTable.stats`)
+pickles with the table, so a worker plans from the parent's collection
+without redoing it; its most-common-value maps are keyed by constants
+and must still be found by freshly built ones in the child.
+
+The children below run under an explicit ``PYTHONHASHSEED`` that differs
 from the parent's.  A child that inherited the parent's seed (as it does
 when the seed is pinned in the environment) recomputes the very same
 hashes and hides the bug.
@@ -52,6 +57,39 @@ print(json.dumps({{"probe": hash("probe"), "checks": checks, "interned": interne
 """
 
 
+_STATS_CHILD = """
+import json, pickle, sys
+sys.path[:0] = [{src!r}]
+from repro.core.tables import TableDatabase
+from repro.core.terms import Constant
+from repro.relational.stats import Statistics, TableStats
+
+collect = TableStats.from_rows
+calls = []
+
+def counting(*args, **kwargs):
+    calls.append(args[0])
+    return collect(*args, **kwargs)
+
+TableStats.from_rows = staticmethod(counting)
+table = pickle.loads(sys.stdin.buffer.read())
+stats = Statistics.collect(TableDatabase([table])).get(table.name)
+fractions = {{
+    f"{{i}}:{{value!r}}": column.hist.eq_fraction(Constant(value))
+    for i, column in enumerate(stats.columns)
+    for value in json.loads(sys.argv[1])[i]
+}}
+fresh = collect(table.name, table.arity, table.rows, table.global_condition)
+print(json.dumps({{
+    "probe": hash("probe"),
+    "calls": calls,
+    "fractions": fractions,
+    "json": stats.to_json(),
+    "matches_fresh": stats.to_json() == fresh.to_json(),
+}}))
+"""
+
+
 def build_values() -> dict:
     """One value of every shipped class, built the same way in each process."""
     x, y = Variable("x"), Variable("y")
@@ -78,23 +116,50 @@ def _other_seed() -> str:
     return str((int(parent) + 1) % 2**32) if parent.isdigit() else "20061"
 
 
-def test_values_rehash_and_reintern_in_a_child_with_another_seed():
+def _run_child(code: str, payload, *args) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=_other_seed())
-    code = _CHILD.format(
-        src=str(Path(repro.__file__).resolve().parents[1]),
-        tests=str(Path(__file__).resolve().parent),
-    )
     done = subprocess.run(
-        [sys.executable, "-c", code],
-        input=pickle.dumps(build_values()),
+        [sys.executable, "-c", code, *args],
+        input=pickle.dumps(payload),
         capture_output=True,
         env=env,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_values_rehash_and_reintern_in_a_child_with_another_seed():
+    code = _CHILD.format(
+        src=str(Path(repro.__file__).resolve().parents[1]),
+        tests=str(Path(__file__).resolve().parent),
+    )
+    report = _run_child(code, build_values())
     # The test means something only if the child really hashes differently.
     assert report["probe"] != hash("probe")
     for name, checks in report["checks"].items():
         assert checks == {"equal": True, "same_hash": True, "in_set": True}, name
     assert report["interned"] == {"Conjunction": True, "CTable.global_condition": True}
+
+
+def test_statistics_memo_ships_with_the_table():
+    x = Variable("x")
+    rows = [(f"v{i}", i % 3) for i in range(12)]
+    rows += [("hot", 7), ("hot", 8), ("hot", 9), ("warm", 7), ("warm", 8)]
+    rows += [Row((x, 5), Conjunction([Eq(x, "hot")]))]
+    table = CTable("R", 2, rows)
+    stats = table.stats()
+    mcvs = [sorted(column.hist.mcvs, key=Constant.sort_key) for column in stats.columns]
+    assert all(mcvs), "every column needs most-common values for the test to bite"
+    values = [[constant.value for constant in column] for column in mcvs]
+    code = _STATS_CHILD.format(src=str(Path(repro.__file__).resolve().parents[1]))
+    report = _run_child(code, table, json.dumps(values))
+    assert report["probe"] != hash("probe")
+    assert report["calls"] == []  # the child read the shipped memo
+    assert report["fractions"] == {
+        f"{i}:{value!r}": stats.columns[i].hist.eq_fraction(Constant(value))
+        for i, column in enumerate(values)
+        for value in column
+    }
+    assert report["json"] == stats.to_json()
+    assert report["matches_fresh"]

@@ -163,7 +163,6 @@ class TestStatsEnrichment:
         assert "delta_rows" in g["views"]["counters"]
         assert isinstance(g["views"]["last_maintenance"], list)
         assert g["stats_store"]["table_collections"] >= 1
-        assert "cached_tables" in g["stats_store"]
 
     def test_latency_summary_shape_is_unchanged(self, served):
         _, client = served

@@ -362,7 +362,7 @@ class TestQueryDispatcher:
             assert session.version == 1  # the write landed mid-dispatch
             assert result.version == 0
             assert row_values(result.table) == {("a", "c")}
-            assert [key[:2] for key in dispatcher.cache._data] == [("g", 0)]
+            assert [key[:2] for key in dispatcher.cache._data] == [(session.serial, 0)]
             fresh, how2 = dispatcher.query(session, PATH_QUERY)
             assert how2 == "inline" and fresh.version == 1
             assert row_values(fresh.table) == {("a", "c"), ("b", "d")}

@@ -104,16 +104,42 @@ class TestDatabaseSession:
             # Validation happens before application: nothing was applied.
             assert session.version == 0
 
-    def test_unknown_relation_fails_after_earlier_ops_published(self):
-        # Batches are a convenience, not a transaction (documented): the
-        # shape-valid prefix lands, the failing op raises.
+    def test_unknown_relation_rejects_the_whole_batch(self):
+        # A batch is all or nothing: the failing op is found before the
+        # valid ops ahead of it are applied.
         session = DatabaseSession("g", graph_db(("a", "b")))
+        before = session.snapshot()
         with pytest.raises(SessionError, match="unknown relation"):
             session.apply(
                 [("insert", "R", ("b", "c")), ("insert", "Nope", ("x", "y"))]
             )
-        assert session.version == 1
-        assert row_values(session.snapshot().db["R"]) == {("a", "b"), ("b", "c")}
+        assert session.version == 0
+        assert session.snapshot() is before
+        assert row_values(session.snapshot().db["R"]) == {("a", "b")}
+
+    @pytest.mark.parametrize("value", ["?x", [1]], ids=["variable", "nested-list"])
+    @pytest.mark.parametrize("kind", ["insert", "delete", "modify-old", "modify-new"])
+    def test_non_constant_fact_values_are_session_errors(self, kind, value):
+        session = DatabaseSession("g", graph_db(("a", "b")))
+        bad = (value, "b")
+        op = {
+            "insert": ("insert", "R", bad),
+            "delete": ("delete", "R", bad),
+            "modify-old": ("modify", "R", bad, ("c", "d")),
+            "modify-new": ("modify", "R", ("a", "b"), bad),
+        }[kind]
+        with pytest.raises(SessionError, match="constant"):
+            session.apply([("insert", "R", ("b", "c")), op])
+        assert session.version == 0
+        assert row_values(session.snapshot().db["R"]) == {("a", "b")}
+
+    def test_batch_publishes_once(self):
+        session = DatabaseSession("g", graph_db(("a", "b")))
+        published = []
+        publish = session._publish
+        session._publish = lambda db, version: published.append(version) or publish(db, version)
+        assert session.apply([("insert", "R", ("b", "c")), ("delete", "R", ("a", "b"))]) == 2
+        assert published == [2]
 
     def test_bad_query_raises_session_error(self):
         session = DatabaseSession("g", graph_db(("a", "b")))
@@ -255,6 +281,26 @@ class TestSessionPersistence:
         result = reloaded.query("W(X, Z) :- R(X, Y), R(Y, Z).", use_views=True)
         assert result.answered_by_view == "V"
 
+    def test_sidecar_views_keep_the_session_ordering(self, tmp_path, monkeypatch):
+        import repro.views.manager as manager_module
+
+        path = self.make_file(tmp_path)
+        session, _ = SessionRegistry(ordering="greedy").open_file("g", path)
+        session.define_view("V(X, Z) :- R(X, Y), R(Y, Z).")
+        session.persist()
+        orderings = []
+        real_plan = manager_module.plan
+
+        def recording_plan(expression, **kwargs):
+            orderings.append(kwargs.get("ordering"))
+            return real_plan(expression, **kwargs)
+
+        monkeypatch.setattr(manager_module, "plan", recording_plan)
+        reloaded, _ = SessionRegistry(ordering="greedy").open_file("g2", path)
+        assert orderings == ["greedy"]
+        reloaded.define_view("W(X) :- R(X, Y).")
+        assert orderings == ["greedy", "greedy"]
+
     def test_stale_sidecar_is_an_explicit_error(self, tmp_path):
         registry = SessionRegistry()
         path = self.make_file(tmp_path)
@@ -392,6 +438,39 @@ class TestHttpApi:
         with pytest.raises(ServerError) as excinfo:
             client.update("g", ["upsert", "R", ["a", "b"]])
         assert excinfo.value.status == 400
+
+    def test_failing_batch_publishes_nothing(self, server_client):
+        _, client = server_client
+        create_graph(client)
+        with pytest.raises(ServerError) as excinfo:
+            client.update("g", ["insert", "R", ["c", "d"]], ["insert", "Nope", ["x", "y"]])
+        assert excinfo.value.status == 400
+        response = client.query("g", "Q(X, Y) :- R(X, Y).")
+        assert response["version"] == 0
+        assert row_values(table_from_json(response["table"])) == {("a", "b"), ("b", "c")}
+
+    def test_recreated_database_does_not_answer_from_the_old_cache(self, server_client):
+        _, client = server_client
+        create_graph(client)
+        query = "Q(X, Y) :- R(X, Y)."
+        assert row_values(table_from_json(client.query("g", query)["table"])) == {
+            ("a", "b"), ("b", "c"),
+        }
+        client.drop_database("g")
+        client.create_database("g", database_to_json(graph_db(("x", "y"))))
+        response = client.query("g", query)
+        assert response["version"] == 0
+        assert row_values(table_from_json(response["table"])) == {("x", "y")}
+
+    @pytest.mark.parametrize("value", ["?x", [1]], ids=["variable", "nested-list"])
+    def test_non_constant_fact_value_is_400(self, server_client, value):
+        _, client = server_client
+        create_graph(client)
+        with pytest.raises(ServerError) as excinfo:
+            client.update("g", ["insert", "R", [value, "b"]])
+        assert excinfo.value.status == 400
+        assert "constant" in str(excinfo.value)
+        assert client.databases()[0]["version"] == 0
 
     def test_views_over_http(self, server_client):
         _, client = server_client

@@ -10,9 +10,10 @@ MCV cut).  The estimator is checked for the *ordinal* properties the
 join orderers rely on — selections shrink, joins with keys beat
 products, wild join columns cost more than ground ones, skew flips the
 DP plan — not for absolute accuracy, which the model does not promise.
-The ``StatsStore`` cache is checked for its amortisation contract:
-collect once, serve snapshots, recollect only what an update
-invalidated.
+The statistics memo on each table is checked for its amortisation
+contract: collected once per table value, shared by identity between
+database versions that share the table, fresh for a table an update
+rebuilt, and bypassed by non-default histogram shapes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.relational import (
     evaluate_to_relation,
     plan,
 )
-from repro.relational.stats import DEFAULT_DISTINCT, DEFAULT_ROWS, join_estimate
+from repro.relational.stats import DEFAULT_DISTINCT, DEFAULT_ROWS, TableStats, join_estimate
 from repro.workloads import (
     random_nway_join_database,
     skewed_star_join_database,
@@ -153,6 +154,9 @@ class TestEstimatorOrdinalProperties:
 
 
 class TestStatsStore:
+    """Statistics are a memo on the immutable table; the store only
+    counts the memos it fills."""
+
     def _db(self):
         return TableDatabase(
             [
@@ -161,90 +165,73 @@ class TestStatsStore:
             ]
         )
 
-    def test_snapshot_collects_each_table_once(self):
-        store = StatsStore(self._db())
-        first = store.snapshot()
-        second = store.snapshot()
-        assert store.table_collections == 2
-        assert second.get("R") is first.get("R")
-        assert second.get("S") is first.get("S")
+    @staticmethod
+    def _count_collections(monkeypatch) -> list:
+        calls = []
+        original = TableStats.from_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(TableStats, "from_rows", staticmethod(counting))
+        return calls
+
+    def test_snapshot_collects_each_table_once(self, monkeypatch):
+        calls = self._count_collections(monkeypatch)
+        db = self._db()
+        store = StatsStore()
+        first = store.snapshot(db)
+        second = store.snapshot(db)
+        assert store.counters() == {"table_collections": 2}
+        assert sorted(calls) == ["R", "S"]
+        assert second.get("R") is first.get("R") is db["R"].stats()
+        assert Statistics.collect(db).get("S") is first.get("S")
         assert first.get("R").rows == 3
 
-    def test_invalidate_recollects_only_that_table(self):
-        store = StatsStore(self._db())
-        first = store.snapshot()
-        store.invalidate("R")
-        second = store.snapshot()
-        assert store.table_collections == 3  # R twice, S once
-        assert second.get("R") is not first.get("R")
-        assert second.get("S") is first.get("S")
-
-    def test_update_operators_invalidate_and_rebind(self):
+    def test_update_operators_share_untouched_statistics(self):
         db = self._db()
-        store = StatsStore(db)
-        before = store.snapshot()
+        before = Statistics.collect(db)
         assert before.get("R").rows == 3
 
-        updated = insert_fact(db, "R", (7, 8), stats=store)
-        assert store.source is updated
-        after = store.snapshot()
+        replaced = db.replacing(CTable("R", 2, [(1, 2)]))
+        assert Statistics.collect(replaced).get("S") is before.get("S")
+        assert Statistics.collect(replaced).get("R").rows == 1
+
+        updated = insert_fact(db, "R", (7, 8))
+        assert not updated["R"].has_stats()  # a new table value: an empty memo
+        after = Statistics.collect(updated)
         assert after.get("R").rows == 4  # fresh statistics for R...
-        assert after.get("S") is before.get("S")  # ...cached ones for S
+        assert after.get("S") is before.get("S")  # ...shared ones for S
+        assert Statistics.collect(db).get("R") is before.get("R")  # old version intact
 
-        updated = delete_fact(updated, "R", (1, 2), stats=store)
-        assert store.snapshot().get("R").rows == 3
+        updated = delete_fact(updated, "R", (1, 2))
+        assert Statistics.collect(updated).get("R").rows == 3
 
-        updated = modify_fact(updated, "S", (0,), (9,), stats=store)
-        snap = store.snapshot()
-        assert snap.get("S").rows == 2
+        updated = modify_fact(updated, "S", (0,), (9,))
+        assert Statistics.collect(updated).get("S").rows == 2
         assert 9 in {c.value for row in updated["S"].rows for c in row.terms}
 
     def test_failed_modify_leaves_the_store_untouched(self):
-        # Regression: a modify whose insert half would fail must not
-        # rebind the store to the half-updated intermediate database.
         import pytest
 
         db = self._db()
-        store = StatsStore(db)
-        store.snapshot()
+        store = StatsStore()
+        before = store.snapshot(db)
         with pytest.raises(ValueError):
-            modify_fact(db, "R", (1, 2), (1, 2, 3), stats=store)
-        assert store.source is db
-        assert store.snapshot().get("R").rows == 3
-        assert store.table_collections == 2  # nothing was invalidated
+            modify_fact(db, "R", (1, 2), (1, 2, 3))
+        assert store.snapshot(db).get("R") is before.get("R")
+        assert store.counters() == {"table_collections": 2}
 
-    def test_snapshot_without_source_serves_the_cache(self):
-        store = StatsStore(self._db())
-        store.snapshot()
-        unbound = StatsStore()
-        assert len(unbound.snapshot()) == 0
-        store.rebind(None)
-        assert sorted(t.name for t in store.snapshot()) == ["R", "S"]
-        assert store.table_collections == 2
+    def test_non_default_shapes_bypass_the_memo(self):
+        db = self._db()
+        memo = db["R"].stats()
+        flat = Statistics.collect(db, buckets=0).get("R")
+        assert flat is not memo and flat.columns[0].hist is None
+        assert db["R"].stats() is memo  # the memo keeps the default shape
+        assert Statistics.collect(db, mcv_limit=1).get("R") is not memo
 
-    def test_arity_change_forces_recollection(self):
-        store = StatsStore(self._db())
-        store.snapshot()
-        widened = TableDatabase(
-            [CTable("R", 3, [(1, 2, 3)]), CTable("S", 1, [(0,), (1,)])]
-        )
-        snap = store.snapshot(widened)
-        assert snap.get("R").arity == 3 and snap.get("R").rows == 1
-        assert store.table_collections == 3  # only R was recollected
-
-    def test_plan_accepts_a_store(self):
-        rng = random.Random(2)
-        db = star_join_database(rng, num_dims=3, dim_rows=4, fact_rows=16)
-        store = StatsStore(db)
-        from repro.workloads import star_join_expression
-
-        explain: list[str] = []
-        store.snapshot()  # prime the cache; plan() snapshots without a source
-        planned = plan(star_join_expression(3), stats=store, explain=explain)
-        assert planned.arity == star_join_expression(3).arity
-        assert explain and explain[0].startswith("join order: ")
-
-    def test_evaluate_ct_database_optimize_shares_one_collection(self):
+    def test_evaluate_ct_database_optimize_shares_one_collection(self, monkeypatch):
         rng = random.Random(5)
         db = star_join_database(rng, num_dims=3, dim_rows=3, fact_rows=8)
         from repro.workloads import star_join_expression
@@ -254,10 +241,13 @@ class TestStatsStore:
             "V2": star_join_expression(3),
             "V3": Scan("F", 3),
         }
-        store = StatsStore(db)
-        optimized = evaluate_ct_database(expressions, db, optimize=True, stats=store)
-        # One collection pass for all three views, not one per view.
-        assert store.table_collections == len(db)
+        calls = self._count_collections(monkeypatch)
+        optimized = evaluate_ct_database(expressions, db, optimize=True)
+        # One collection pass for all three views, not one per view...
+        assert sorted(calls) == sorted(db.names())
+        # ...and none for a second invocation over the same tables.
+        evaluate_ct_database(expressions, db, optimize=True)
+        assert len(calls) == len(db)
         naive = evaluate_ct_database(expressions, db)
         for name in expressions:
             assert set(optimized[name].rows) == set(naive[name].rows), name

@@ -16,8 +16,8 @@ targeted delete recomputation.
 Unit tests pin the maintenance mechanics: delta vs recompute paths,
 dependency tracking, subplan sharing across views, the pinned-variable
 hash partitioning in ``join_ct``, the updates-module notification audit
-(StatsStore invalidation + view notification on every mutation path,
-including failure atomicity), the ``update_stream`` generator, and the
+(fresh statistics + view notification on every mutation path, including
+failure atomicity), the ``update_stream`` generator, and the
 ``repro view`` / ``repro eval --use-views`` CLI surface.
 """
 
@@ -49,7 +49,6 @@ from repro.relational import (
     Project,
     Scan,
     Select,
-    StatsStore,
     Union,
     plan_fingerprint,
 )
@@ -405,69 +404,66 @@ class TestSharedSubplans:
 
 
 # ---------------------------------------------------------------------------
-# ISSUE satellite: updates.py / maybe.py audit — every mutation path
-# invalidates the StatsStore and notifies the view manager, atomically.
+# updates.py / maybe.py audit: every mutation path gives the touched
+# table fresh statistics and notifies the view manager.
 # ---------------------------------------------------------------------------
 
 
 class TestUpdateNotificationAudit:
     def _setup(self):
         db = TableDatabase.single(codd_table("R", 2, [(0, 1), (1, 2)]))
-        store = StatsStore(db)
-        store.snapshot()
+        db["R"].stats()
         manager = ViewManager(db)
         manager.define("V", Scan("R", 2))
-        return db, store, manager
+        return db, manager
 
     @pytest.mark.parametrize("op", ["insert", "delete", "modify"])
     def test_every_mutation_invalidates_and_notifies(self, op):
-        db, store, manager = self._setup()
-        assert "R" in store
+        db, manager = self._setup()
         if op == "insert":
-            out = insert_fact(db, "R", (7, 7), stats=store, views=manager)
+            out = insert_fact(db, "R", (7, 7), views=manager)
         elif op == "delete":
-            out = delete_fact(db, "R", (0, 1), stats=store, views=manager)
+            out = delete_fact(db, "R", (0, 1), views=manager)
         else:
-            out = modify_fact(db, "R", (0, 1), (7, 7), stats=store, views=manager)
-        assert "R" not in store  # invalidated
-        assert store.source is out  # rebound to the updated database
-        assert manager.database is out  # manager rebound too
+            out = modify_fact(db, "R", (0, 1), (7, 7), views=manager)
+        assert not out["R"].has_stats()  # a new table value: fresh statistics
+        assert out["R"].stats().rows == len(out["R"])
+        assert manager.database is out  # manager rebound
         assert set(manager.get("V").rows) == set(out["R"].rows)
 
     @pytest.mark.parametrize(
         "bad_call",
         [
-            lambda db, s, v: insert_fact(db, "R", (1,), stats=s, views=v),
-            lambda db, s, v: delete_fact(db, "R", (1, 2, 3), stats=s, views=v),
-            lambda db, s, v: modify_fact(db, "R", (0, 1), (1,), stats=s, views=v),
-            lambda db, s, v: modify_fact(db, "X", (0, 1), (1, 1), stats=s, views=v),
+            lambda db, v: insert_fact(db, "R", (1,), views=v),
+            lambda db, v: delete_fact(db, "R", (1, 2, 3), views=v),
+            lambda db, v: modify_fact(db, "R", (0, 1), (1,), views=v),
+            lambda db, v: modify_fact(db, "X", (0, 1), (1, 1), views=v),
         ],
     )
     def test_failed_update_leaves_store_and_views_untouched(self, bad_call):
-        db, store, manager = self._setup()
+        db, manager = self._setup()
+        memo = db["R"].stats()
         before = set(manager.get("V").rows)
         with pytest.raises((ValueError, KeyError)):
-            bad_call(db, store, manager)
-        assert "R" in store  # cache intact
-        assert store.source is db  # not rebound
+            bad_call(db, manager)
+        assert db["R"].stats() is memo  # statistics intact
         assert manager.database is db
         assert set(manager.get("V").rows) == before
 
     def test_maybe_encoded_databases_ride_the_same_contract(self):
         # maybe.py itself has no mutation entry points (encoding builds a
         # fresh c-table database); the audit outcome is that its output
-        # flows through the same updates/stats/views contract unchanged.
+        # flows through the same updates/views contract unchanged.
         db = maybe_database(
             [maybe_table("R", 1, sure=[(0,)], maybe=[(1,), (2,)])]
         )
-        store = StatsStore(db)
-        manager = ViewManager(db, stats=store)
+        manager = ViewManager(db)
         expr = Scan("R", 1)
         manager.define("V", expr)
-        out = insert_fact(db, "R", (5,), stats=store, views=manager)
+        out = insert_fact(db, "R", (5,), views=manager)
         assert_view_matches(manager, "V", expr, out)
-        out2 = delete_fact(out, "R", (1,), stats=store, views=manager)
-        assert store.source is out2
+        out2 = delete_fact(out, "R", (1,), views=manager)
+        assert manager.database is out2
         assert_view_matches(manager, "V", expr, out2)
 
 
