@@ -8,7 +8,10 @@ Three sections, each with a hard floor (non-zero exit on failure):
    be slower than the greedy orderer beyond a small timing-noise
    tolerance: on a star every connected subset contains the fact table,
    so DP and greedy pick equally good shapes and DP's extra enumeration
-   must be negligible.
+   must be negligible.  The planner runs greedy only as its fallback
+   for long chains, so the greedy side orders the rewritten tree
+   directly (``order_joins(plan(e), stats)``), inside the timed call
+   like the DP side's planning.
 2. **Snowflake** — ``workloads.snowflake_join_database``: two selective
    arms (``S >< F`` and ``D >< O``) meeting on a many-many ``F - D``
    edge.  Every one of the 24 left-deep orders is enumerated, evaluated
@@ -36,7 +39,17 @@ import sys
 import time
 
 from repro.ctalgebra import evaluate_ct_optimized, evaluate_ct_ordered
-from repro.relational import ColEq, Product, Project, Scan, Select, Statistics, StatsStore
+from repro.relational import (
+    ColEq,
+    Product,
+    Project,
+    Scan,
+    Select,
+    Statistics,
+    StatsStore,
+    order_joins,
+    plan,
+)
 from repro.relational.stats import TableStats
 from repro.workloads import (
     snowflake_join_database,
@@ -104,21 +117,19 @@ def run_star(sizes, fact_rows, acceptance, repeat: int, seed: int) -> int:
         db = star_join_database(rng, num_dims=NUM_DIMS, dim_rows=size, fact_rows=fact_rows)
         stats = Statistics.collect(db)
         input_view = evaluate_ct_optimized(expression, db, name="J")
-        greedy_view = evaluate_ct_ordered(expression, db, name="J", stats=stats, ordering="greedy")
-        dp_view = evaluate_ct_ordered(expression, db, name="J", stats=stats, ordering="dp")
+
+        def greedy(name="view"):
+            return evaluate_ct_optimized(order_joins(plan(expression), stats), db, name=name)
+
+        greedy_view = greedy("J")
+        dp_view = evaluate_ct_ordered(expression, db, name="J", stats=stats)
         if not (set(input_view.rows) == set(greedy_view.rows) == set(dp_view.rows)):
             print(f"  !! row mismatch at dim_rows={size}", file=sys.stderr)
             failures += 1
             continue
         input_time = _best_of(lambda: evaluate_ct_optimized(expression, db), repeat)
-        greedy_time = _best_of(
-            lambda: evaluate_ct_ordered(expression, db, stats=stats, ordering="greedy"),
-            repeat,
-        )
-        dp_time = _best_of(
-            lambda: evaluate_ct_ordered(expression, db, stats=stats, ordering="dp"),
-            repeat,
-        )
+        greedy_time = _best_of(greedy, repeat)
+        dp_time = _best_of(lambda: evaluate_ct_ordered(expression, db, stats=stats), repeat)
         speedup = input_time / dp_time if dp_time > 0 else float("inf")
         print(
             f"{size:>8}  {input_time * 1e3:>8.2f}ms  {greedy_time * 1e3:>8.2f}ms"

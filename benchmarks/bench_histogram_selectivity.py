@@ -14,7 +14,8 @@ guards the two claims that justify the extra collection work:
    intermediates through the plan.  Histogram costing prices the hot
    value by its MCV frequency, flips the DP plan choice to filter
    through ``D0``, and must win by >= 2x (1.5x in ``--quick``).  Both
-   plans are correctness-checked against each other.
+   plans are correctness-checked against each other.  The uniform
+   baseline is built with ``TableStats.from_rows(..., buckets=0)``.
 
 2. **No regression** — on the *uniform* star
    (``workloads.star_join_database``) and the snowflake
@@ -39,6 +40,7 @@ import time
 
 from repro.ctalgebra import evaluate_ct_ordered
 from repro.relational import Statistics
+from repro.relational.stats import TableStats
 from repro.workloads import (
     skewed_star_join_database,
     skewed_star_join_expression,
@@ -78,7 +80,10 @@ def _timed_pair(expression, db, repeat: int):
     checking both plans produce the same rows.
     """
     stats_hist = Statistics.collect(db)
-    stats_const = Statistics.collect(db, buckets=0)
+    stats_const = Statistics(
+        TableStats.from_rows(t.name, t.arity, t.rows, t.global_condition, buckets=0)
+        for t in db
+    )
     orders = {}
     views = {}
     for label, stats in (("hist", stats_hist), ("const", stats_const)):

@@ -1,15 +1,15 @@
 """Join ordering benchmark: cost-ordered plans vs left-deep input order.
 
-Times ``evaluate_ct_ordered`` (statistics + greedy smallest-intermediate
-ordering) against ``evaluate_ct_optimized`` (rewrite planner only, joins
-associate left-deep in input order) on a star-join workload whose input
-order is *pessimal*: the expression lists every dimension table before
-the fact table, so the input-order plan materialises the full cartesian
-product of the dimensions (``dim_rows^k`` rows) before the fact table
-prunes it, while the cost-ordered plan joins the fact table immediately
-and never exceeds the fact cardinality.  Correctness is verified on every
-run: both plans must produce the identical row set, in the original
-column order.
+Times ``evaluate_ct_ordered`` (statistics + the planner's cost-based
+Selinger DP ordering) against ``evaluate_ct_optimized`` (rewrite planner
+only, joins associate left-deep in input order) on a star-join workload
+whose input order is *pessimal*: the expression lists every dimension
+table before the fact table, so the input-order plan materialises the
+full cartesian product of the dimensions (``dim_rows^k`` rows) before
+the fact table prunes it, while the cost-ordered plan joins the fact
+table immediately and never exceeds the fact cardinality.  Correctness
+is verified on every run: both plans must produce the identical row
+set, in the original column order.
 
 Runs standalone (no pytest needed)::
 

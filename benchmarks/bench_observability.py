@@ -126,7 +126,7 @@ def run_overhead(num_dims, dim_rows, fact_rows, iterations, seed) -> int:
 
     def bare():
         expression = ra_of_ucq(parse_query(query_text))
-        return evaluate_ct_ordered(expression, snap.db, stats=snap.stats)
+        return evaluate_ct_ordered(expression, snap.db)
 
     def dispatched():
         result, served_by = dispatcher.query(session, query_text)
@@ -244,7 +244,7 @@ def run_exactness(dim_rows, fact_rows, seed) -> int:
 
     table, analysis = evaluate_ct_analyzed(expr, db, stats=stats)
     reference = evaluate_ct_ordered(expr, db, stats=stats)
-    planned = plan(expr, stats=stats, ordering="dp")
+    planned = plan(expr, stats=stats)
     recounted_table, counts = naive_recount(planned, db)
 
     failures = 0

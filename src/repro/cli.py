@@ -13,8 +13,6 @@ Usage (also via ``python -m repro``)::
     repro eval db.pwt query.dl        # evaluate a UCQ view via the planner
     repro eval db.pwt q1.dl q2.dl     # many queries, one stats collection
     repro eval db.pwt query.dl --explain   # stats, histograms, selectivities
-    repro eval db.pwt query.dl --ordering greedy   # left-deep greedy orderer
-    repro eval db.pwt query.dl --histogram-buckets 0   # uniform cost model
     repro view define db.pwt 'V(X) :- R(X, Y).'   # register + materialize
     repro view list db.pwt            # registered views + freshness
     repro view refresh db.pwt         # re-materialize stale views
@@ -395,7 +393,7 @@ def _cmd_view_drop(args) -> int:
     return EXIT_YES
 
 
-def _sidecar_views(db_path: str, datalog: bool, ordering: str):
+def _sidecar_views(db_path: str, datalog: bool):
     """The registered views as ``match_view`` candidates, split ``(fresh,
     stale)`` by the database digest; ``None`` when none is registered.
     Loaded once per invocation.  An entry whose query does not compile as
@@ -411,7 +409,7 @@ def _sidecar_views(db_path: str, datalog: bool, ordering: str):
     fresh, stale = [], []
     for name, entry in sorted(views.items()):
         try:
-            fingerprint = prepare(entry.get("query", ""), datalog, ordering).fingerprint
+            fingerprint = prepare(entry.get("query", ""), datalog).fingerprint
             table = table_from_json(entry.get("table") or {})
         except (KeyError, ValueError):
             continue
@@ -475,20 +473,9 @@ def _cmd_eval(args) -> int:
     from .relational.stats import Statistics
 
     db = load_database_file(args.database)
-    # The database cannot change between queries, so one collection
-    # serves the whole invocation.  A None --histogram-buckets means the
-    # default bucket count.
-    if args.naive:
-        stats = None
-    elif args.histogram_buckets is None:
-        stats = Statistics.collect(db)
-    else:
-        stats = Statistics.collect(db, buckets=args.histogram_buckets)
     for given, flag, why in (
         (args.explain, "--explain",
          "(nothing is planned); showing the compiled expression instead"),
-        (args.histogram_buckets is not None, "--histogram-buckets",
-         "(no statistics are collected)"),
         (args.use_views, "--use-views",
          "(the oracle path never answers from materializations)"),
         (args.analyze, "--analyze", "(the oracle path is not instrumented)"),
@@ -499,12 +486,12 @@ def _cmd_eval(args) -> int:
     # tables, so tooling and tests read structure, not scraped text.
     report: dict | None = None
     if args.explain_json:
-        report = {"database": args.database, "ordering": args.ordering, "queries": []}
+        report = {"database": args.database, "queries": []}
     use_views = args.use_views and not args.naive
-    sidecar = _sidecar_views(args.database, args.datalog, args.ordering) if use_views else None
+    sidecar = _sidecar_views(args.database, args.datalog) if use_views else None
     for position, query_arg in enumerate(args.query):
         try:
-            prepared = prepare(_read_query_argument(query_arg), args.datalog, args.ordering)
+            prepared = prepare(_read_query_argument(query_arg), args.datalog)
         except QueryError as exc:
             raise CliError(str(exc)) from exc
         if report is None:
@@ -524,20 +511,23 @@ def _cmd_eval(args) -> int:
             # The JSON report always carries explain lines, and for
             # Datalog the per-round deltas (the analyze payload).
             execution = execute(
-                prepared, db, stats,
+                prepared, db,
                 naive=args.naive,
                 explain=args.explain or report is not None,
                 analyze=args.analyze or (args.datalog and report is not None),
             )
         except QueryError as exc:
             raise CliError(str(exc)) from exc
+        # The first planned UCQ shows the statistics the planner read:
+        # the tables' memos, shared by every query of the invocation.
+        stats = None
+        if position == 0 and not args.naive and not args.datalog:
+            stats = sorted(Statistics.collect(db), key=lambda t: t.name)
         if report is None:
-            _show_execution(args, position, stats, prepared, execution)
+            _show_execution(args, stats, prepared, execution)
             continue
-        if stats is not None and position == 0 and not args.datalog:
-            report["stats"] = [
-                table_stats.to_json() for table_stats in sorted(stats, key=lambda t: t.name)
-            ]
+        if stats is not None:
+            report["stats"] = [table_stats.to_json() for table_stats in stats]
         report["queries"].append(_report_entry(prepared, execution))
     if report is not None:
         print(json.dumps(report, indent=2))
@@ -565,12 +555,12 @@ def _show_view_answer(args, report, prepared, view_name: str, table) -> None:
     _print_table(table)
 
 
-def _show_execution(args, position: int, stats, prepared, execution) -> None:
+def _show_execution(args, stats, prepared, execution) -> None:
     from .obs.analyze import render_analysis
 
     datalog = prepared.kind == "datalog"
-    if args.explain and stats is not None and position == 0 and not datalog:
-        for table_stats in sorted(stats, key=lambda t: t.name):
+    if args.explain and stats is not None:
+        for table_stats in stats:
             print(f"-- stats: {table_stats.describe()}")
             for line in table_stats.histogram_lines():
                 print(f"-- stats:   {line}")
@@ -625,7 +615,7 @@ def _cmd_serve(args) -> int:
     from .server import SessionRegistry, make_server, run_server
     from .server.session import SessionError
 
-    registry = SessionRegistry(ordering=args.ordering)
+    registry = SessionRegistry()
     for spec in args.db:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
@@ -769,7 +759,6 @@ def _run_client_action(client, args) -> int:
         response = client.query(
             args.name,
             query_text,
-            ordering=args.ordering,
             naive=args.naive,
             use_views=args.use_views,
             explain=args.explain,
@@ -885,22 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "join shape",
     )
     p.add_argument(
-        "--ordering",
-        choices=("dp", "greedy"),
-        default="dp",
-        help="join orderer: Selinger DP with bushy plans (default) or the "
-        "greedy left-deep orderer",
-    )
-    p.add_argument(
-        "--histogram-buckets",
-        type=int,
-        default=None,
-        metavar="N",
-        help="equi-depth histogram buckets per column for the cost model "
-        "(default: the statistics store's DEFAULT_HISTOGRAM_BUCKETS; "
-        "0 disables histograms and reverts to the uniform 1/distinct model)",
-    )
-    p.add_argument(
         "--use-views",
         action="store_true",
         help="answer from a fresh materialized view (repro view define) when "
@@ -969,12 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH",
         help="preload a database file under NAME (repeatable); its view "
         "sidecar is loaded too",
-    )
-    p.add_argument(
-        "--ordering",
-        choices=("dp", "greedy"),
-        default="dp",
-        help="default join orderer for served queries (default dp)",
     )
     p.add_argument(
         "--on-stale",
@@ -1049,7 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp = csub.add_parser("query", help="evaluate a UCQ against a snapshot")
     cp.add_argument("name")
     cp.add_argument("query", help="rule file or literal rule text")
-    cp.add_argument("--ordering", choices=("dp", "greedy"), default=None)
     cp.add_argument("--naive", action="store_true")
     cp.add_argument("--use-views", action="store_true")
     cp.add_argument("--explain", action="store_true")

@@ -19,12 +19,11 @@ One walker (:func:`_eval`) serves every entry point:
   counts, ground/wild/pinned cell counts, and per-column equi-depth
   histograms with most-common-value tracking) and lets the
   histogram-aware cost model re-order n-way join chains before
-  execution — the Selinger DP (bushy plans) by default, the greedy
-  left-deep orderer via ``ordering="greedy"``.  ``stats`` accepts a
-  pre-collected snapshot (by default the tables' statistics memos are
-  read, so collection is paid once per table value); pass an
-  ``explain`` list to capture the ordering decisions and per-predicate
-  selectivities.
+  execution — the Selinger DP (bushy plans), which hands chains too long
+  to enumerate to the greedy left-deep orderer.  ``stats`` accepts other
+  statistics than the tables' memos (by default the memos are read, so
+  collection is paid once per table value); pass an ``explain`` list to
+  capture the ordering decisions and per-predicate selectivities.
 * :func:`evaluate_ct_analyzed` — the same plan under EXPLAIN ANALYZE:
   the walker calls an observer around each node's operator
   (:class:`repro.obs.analyze.AnalyzeObserver`).  Without an observer the
@@ -110,22 +109,20 @@ def evaluate_ct_ordered(
     name: str = "view",
     stats: Statistics | None = None,
     explain: list[str] | None = None,
-    ordering: str = "dp",
 ) -> CTable:
     """Plan with statistics, re-order joins by cost, then evaluate.
 
     ``stats`` defaults to ``db``'s statistics (each table's memo,
-    histograms included); pass a pre-collected
-    :class:`~repro.relational.stats.Statistics` for another shape, e.g.
-    ``buckets=0`` for the uniform model.  ``ordering`` selects the Selinger DP (``"dp"``,
-    the default, bushy plans) or the greedy left-deep orderer
-    (``"greedy"``).  ``explain``, if given, accumulates one line per
+    histograms included); pass other
+    :class:`~repro.relational.stats.Statistics` to plan against them,
+    e.g. the uniform model built with ``TableStats.from_rows(...,
+    buckets=0)``.  ``explain``, if given, accumulates one line per
     re-ordered join chain describing the chosen shape and the estimated
     intermediate cardinalities, plus the selectivity charged to each leaf
     selection predicate.  Semantics are unchanged: ``rep`` of the result
     equals ``rep`` of the naive result.
     """
-    return evaluate_ct_planned(expression, db, name, stats, explain, ordering)[0]
+    return evaluate_ct_planned(expression, db, name, stats, explain)[0]
 
 
 def evaluate_ct_analyzed(
@@ -134,7 +131,6 @@ def evaluate_ct_analyzed(
     name: str = "view",
     stats: Statistics | None = None,
     explain: list[str] | None = None,
-    ordering: str = "dp",
 ):
     """EXPLAIN ANALYZE: plan, execute with per-node instrumentation.
 
@@ -145,7 +141,7 @@ def evaluate_ct_analyzed(
     with ``analysis`` a :class:`repro.obs.analyze.PlanAnalysis`.
     """
     table, _planned, analysis = evaluate_ct_planned(
-        expression, db, name, stats, explain, ordering, analyze=True
+        expression, db, name, stats, explain, analyze=True
     )
     return table, analysis
 
@@ -156,7 +152,6 @@ def evaluate_ct_planned(
     name: str = "view",
     stats: Statistics | None = None,
     explain: list[str] | None = None,
-    ordering: str = "dp",
     analyze: bool = False,
 ):
     """Plan with statistics and execute; returns ``(table, planned, analysis)``.
@@ -172,7 +167,7 @@ def evaluate_ct_planned(
 
         start = time.perf_counter()
     snapshot = resolve_stats(stats, db)
-    planned = plan(expression, stats=snapshot, explain=explain, ordering=ordering)
+    planned = plan(expression, stats=snapshot, explain=explain)
     if not analyze:
         table = _eval(planned, db, optimized=True)
         analysis = None
@@ -193,20 +188,19 @@ def evaluate_ct_database(
     db: TableDatabase,
     optimize: bool = False,
     stats: Statistics | None = None,
-    ordering: str = "dp",
 ) -> TableDatabase:
     """Evaluate a named vector of RA expressions into a view database.
 
     With ``optimize=True`` every view runs through the cost-ordered path
     (:func:`evaluate_ct_ordered`) and statistics are collected **once**
     and shared by all view expressions; ``stats`` accepts a pre-collected
-    snapshot.  ``stats`` and ``ordering`` only apply to
-    the optimized path — the naive evaluator plans nothing.
+    snapshot.  ``stats`` only applies to the optimized path — the naive
+    evaluator plans nothing.
     """
     if optimize:
         snapshot = resolve_stats(stats, db)
         tables = [
-            evaluate_ct_ordered(expr, db, name, stats=snapshot, ordering=ordering)
+            evaluate_ct_ordered(expr, db, name, stats=snapshot)
             for name, expr in expressions.items()
         ]
     else:

@@ -78,7 +78,7 @@ from ..relational.algebra import (
     Union,
 )
 from ..relational.planner import plan, plan_fingerprint, ra_of_ucq
-from ..relational.stats import resolve_stats
+from ..relational.stats import Statistics
 from .datalog import DatalogQuery
 from .rules import Rule, UCQQuery
 
@@ -208,7 +208,7 @@ class CTFixpoint:
     :func:`~repro.relational.planner.ra_of_ucq` into product-of-scans +
     selections + head projection; bodyless ground rules become constant
     facts seeded into round zero.  Join ordering happens per evaluation,
-    when base-table statistics are available.
+    against the evaluated database's statistics memos.
     """
 
     def __init__(
@@ -216,7 +216,6 @@ class CTFixpoint:
         program,
         outputs: Sequence[str] | None = None,
         name: str | None = None,
-        ordering: str = "dp",
     ) -> None:
         rules, program_outputs, program_name = _program_rules(program)
         # DatalogQuery re-validates purity and per-predicate arities.
@@ -227,7 +226,6 @@ class CTFixpoint:
         self.idb = self.program.idb
         self.outputs = self.program.outputs
         self.name = self.program.name
-        self.ordering = ordering
         self.arities: dict[str, int] = dict(self.program._arities)
         self.edb = frozenset(
             body_atom.pred
@@ -273,13 +271,13 @@ class CTFixpoint:
             if name in self.edb and name not in db:
                 raise KeyError(name)
 
-    def evaluation(self, db: TableDatabase, stats=None) -> "FixpointEvaluation":
+    def evaluation(self, db: TableDatabase) -> "FixpointEvaluation":
         """Compile against ``db``'s statistics and run to the least fixpoint."""
-        return FixpointEvaluation(self, db, stats=stats)
+        return FixpointEvaluation(self, db)
 
-    def run(self, db: TableDatabase, stats=None) -> TableDatabase:
+    def run(self, db: TableDatabase) -> TableDatabase:
         """Evaluate to the least fixpoint; the one-shot entry point."""
-        return self.evaluation(db, stats=stats).database()
+        return self.evaluation(db).database()
 
 
 def datalog_fingerprint(program) -> str:
@@ -347,7 +345,7 @@ class FixpointEvaluation:
     delta rules read consistently.
     """
 
-    def __init__(self, query: CTFixpoint, db: TableDatabase, stats=None) -> None:
+    def __init__(self, query: CTFixpoint, db: TableDatabase) -> None:
         query.validate_schema(db)
         self.query = query
         self.db = db
@@ -362,10 +360,10 @@ class FixpointEvaluation:
         self._nodes: dict[str, _Node] = {}
         self._scans: dict[str, _Node] = {}
         self._epoch = 0
-        snapshot = resolve_stats(stats, db)
+        stats = Statistics.collect(db)
         roots = []
         for head, expr in query.rule_plans:
-            planned = plan(expr, stats=snapshot, ordering=query.ordering)
+            planned = plan(expr, stats=stats)
             roots.append((head, self._intern(planned)))
         self.rule_roots = tuple(roots)
         # Relations the program reads but no rule plan scans (possible when

@@ -49,15 +49,13 @@ class PreparedQuery:
     ``kind`` is ``"ucq"`` or ``"datalog"``; ``name`` names the result
     table (the UCQ's head predicate, or the program's first output);
     ``compiled`` is the RA expression or the
-    :class:`~repro.queries.fixpoint.CTFixpoint`; ``ordering`` is the
-    join orderer :func:`execute` plans with.
+    :class:`~repro.queries.fixpoint.CTFixpoint`.
     """
 
-    def __init__(self, kind: str, name: str, compiled, ordering: str = "dp") -> None:
+    def __init__(self, kind: str, name: str, compiled) -> None:
         self.kind = kind
         self.name = name
         self.compiled = compiled
-        self.ordering = ordering
 
     @cached_property
     def fingerprint(self) -> "str | None":
@@ -100,7 +98,7 @@ class Execution(NamedTuple):
         return self.tables[0]
 
 
-def prepare(text: str, datalog: bool = False, ordering: str = "dp") -> PreparedQuery:
+def prepare(text: str, datalog: bool = False) -> PreparedQuery:
     """Parse and compile query text: a UCQ, or with ``datalog`` a
     recursive program.  Raises :class:`QueryError` (``query: ...``)."""
     from ..relational.parser import ParseError, parse_datalog, parse_query
@@ -109,10 +107,10 @@ def prepare(text: str, datalog: bool = False, ordering: str = "dp") -> PreparedQ
     with span("compile", datalog=datalog):
         try:
             if datalog:
-                program = CTFixpoint(parse_datalog(text), ordering=ordering)
-                return PreparedQuery("datalog", program.outputs[0], program, ordering)
+                program = CTFixpoint(parse_datalog(text))
+                return PreparedQuery("datalog", program.outputs[0], program)
             query = parse_query(text)
-            return PreparedQuery("ucq", query.rules[0].head.pred, ra_of_ucq(query), ordering)
+            return PreparedQuery("ucq", query.rules[0].head.pred, ra_of_ucq(query))
         except (ParseError, PlanError, ValueError) as exc:
             raise QueryError(f"query: {exc}") from exc
 
@@ -141,49 +139,44 @@ def match_view(prepared: PreparedQuery, candidates) -> "tuple[str, CTable] | Non
 def execute(
     prepared: PreparedQuery,
     db: TableDatabase,
-    stats=None,
     naive: bool = False,
     explain: bool = False,
     analyze: bool = False,
 ) -> Execution:
-    """Evaluate a prepared query over one database version.
-
-    ``stats`` is the matching :class:`~repro.relational.stats.Statistics`
-    cut (read from ``db``'s statistics memos when ``None``; unused under
-    ``naive``).  ``naive`` runs the
-    oracle: the literal select-over-product evaluator for a UCQ, the
-    whole-program refixpoint for a program.  Raises :class:`QueryError`
+    """Evaluate a prepared query over one database version, planned
+    against ``db``'s statistics memos.  ``naive`` runs the oracle: the
+    literal select-over-product evaluator for a UCQ, the whole-program
+    refixpoint for a program.  Raises :class:`QueryError`
     (``evaluation: ...``).
     """
     with span("execute", naive=naive):
         try:
             if prepared.kind == "datalog":
-                return _execute_program(prepared.compiled, db, stats, naive, explain, analyze)
-            return _execute_ucq(prepared, db, stats, naive, explain, analyze)
+                return _execute_program(prepared.compiled, db, naive, explain, analyze)
+            return _execute_ucq(prepared, db, naive, explain, analyze)
         except KeyError as exc:
             raise QueryError(f"evaluation: unknown relation {exc}") from exc
         except ValueError as exc:
             raise QueryError(f"evaluation: {exc}") from exc
 
 
-def _execute_ucq(prepared, db, stats, naive, explain, analyze) -> Execution:
+def _execute_ucq(prepared, db, naive, explain, analyze) -> Execution:
     expression = prepared.compiled
     if naive:
         table = evaluate_ct(expression, db, name=prepared.name)
         return Execution((table,), ((prepared.name, expression),))
     lines: "list[str] | None" = [] if explain else None
     table, planned, analysis = evaluate_ct_planned(
-        expression, db, name=prepared.name, stats=stats, explain=lines,
-        ordering=prepared.ordering, analyze=analyze,
+        expression, db, name=prepared.name, explain=lines, analyze=analyze
     )
     payload = analysis.to_json() if analysis is not None else None
     return Execution((table,), ((prepared.name, planned),), lines, payload)
 
 
-def _execute_program(program, db, stats, naive, explain, analyze) -> Execution:
+def _execute_program(program, db, naive, explain, analyze) -> Execution:
     if naive:
         return Execution(tuple(naive_ct_refixpoint(program, db)), program.rule_plans)
-    evaluation = program.evaluation(db, stats=stats)
+    evaluation = program.evaluation(db)
     payload = None
     if analyze:
         rounds = evaluation.round_stats

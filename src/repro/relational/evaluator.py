@@ -33,7 +33,6 @@ def evaluate_to_relation(
     instance: Instance,
     optimize: bool = False,
     stats=None,
-    ordering: str = "dp",
 ) -> Relation:
     """Evaluate ``expression`` over ``instance`` and return a relation.
 
@@ -42,15 +41,14 @@ def evaluate_to_relation(
     the result is identical, joins just associate in a cheaper order.
     ``stats`` takes a pre-collected
     :class:`~repro.relational.stats.Statistics` to avoid re-scanning the
-    instance per expression; ``ordering`` selects the
-    Selinger DP (``"dp"``, default) or the greedy orderer (``"greedy"``).
+    instance per expression.
     """
     if optimize:
         from .planner import plan
         from .stats import resolve_stats
 
         stats = resolve_stats(stats, instance)
-        expression = plan(expression, stats=stats, ordering=ordering)
+        expression = plan(expression, stats=stats)
     facts = _eval(expression, instance)
     return Relation(expression.arity, facts)
 
@@ -59,7 +57,6 @@ def evaluate(
     expressions: dict[str, RAExpression],
     instance: Instance,
     optimize: bool = False,
-    ordering: str = "dp",
 ) -> Instance:
     """Evaluate a named vector of expressions: the query's output instance.
 
@@ -73,9 +70,7 @@ def evaluate(
         stats = Statistics.collect(instance)
     return Instance(
         {
-            name: evaluate_to_relation(
-                expr, instance, optimize=optimize, stats=stats, ordering=ordering
-            )
+            name: evaluate_to_relation(expr, instance, optimize=optimize, stats=stats)
             for name, expr in expressions.items()
         }
     )

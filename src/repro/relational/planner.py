@@ -16,29 +16,30 @@ evaluators execute asymptotically faster:
 * **selection fusion** — adjacent selections merge into one.
 
 When a :class:`~repro.relational.stats.Statistics` object is supplied,
-:func:`plan` additionally runs a **cost-based join-ordering** pass: every
-maximal fused ``Join``/``Product`` chain is flattened into a join graph
-(leaves plus cross-leaf equality edges) and rebuilt in a cheaper
-association order, with a final projection restoring the original column
-order.  Two orderers are available via ``plan(..., ordering=...)``:
+:func:`plan` additionally runs a **cost-based join-ordering** pass,
+:func:`order_joins_dp`: every maximal fused ``Join``/``Product`` chain
+is flattened into a join graph (leaves plus cross-leaf equality edges)
+and rebuilt in a cheaper association order, with a final projection
+restoring the original column order.  The pass is a Selinger-style
+dynamic program.  It enumerates the *connected* subsets of the join
+graph bottom-up, memoising the best ``(cost, plan)`` per subset, where
+cost is the cumulative estimated cardinality of every intermediate
+result.  Because a subset's best plan may join two composite subplans,
+the result is a **bushy** tree, not just a left-deep chain — on
+snowflake-shaped graphs (two selective arms meeting on a many-many
+edge) bushy plans beat every left-deep order.  Disconnected join graphs
+are handled by planning each connected component and joining the
+components smallest-first.
 
-* ``"dp"`` (the default) — :func:`order_joins_dp`, a Selinger-style
-  dynamic program.  It enumerates the *connected* subsets of the join
-  graph bottom-up, memoising the best ``(cost, plan)`` per subset, where
-  cost is the cumulative estimated cardinality of every intermediate
-  result.  Because a subset's best plan may join two composite subplans,
-  the result is a **bushy** tree, not just a left-deep chain — on
-  snowflake-shaped graphs (two selective arms meeting on a many-many
-  edge) bushy plans beat every left-deep order.  Disconnected join
-  graphs are handled by planning each connected component and joining
-  the components smallest-first.  Above
-  :data:`DP_LEAF_THRESHOLD` leaves the subset enumeration is no longer
-  worth its exponential cost and the pass falls back to the greedy
-  orderer.
-* ``"greedy"`` — :func:`order_joins`: start from the smallest estimated
-  leaf, then repeatedly adjoin the *connected* leaf minimising the
-  estimated intermediate cardinality (cartesian growth only when nothing
-  connects), rebuilding the chain left-deep.
+The chain's size picks the orderer; nothing else does.  Above
+:data:`DP_LEAF_THRESHOLD` leaves the subset enumeration is no longer
+worth its exponential cost and the chain goes to the greedy orderer,
+:func:`order_joins`: start from the smallest estimated leaf, then
+repeatedly adjoin the *connected* leaf minimising the estimated
+intermediate cardinality (cartesian growth only when nothing connects),
+rebuilding the chain left-deep.  To compare a greedy plan against the
+default one, order a rewritten tree directly:
+``order_joins(plan(e), stats)``.
 
 Estimates come from the histogram-backed cost model in
 :mod:`repro.relational.stats`: per-column equi-depth histograms with
@@ -110,27 +111,20 @@ def plan(
     expression: RAExpression,
     stats: Statistics | None = None,
     explain: list[str] | None = None,
-    ordering: str = "dp",
 ) -> RAExpression:
     """Rewrite ``expression`` into an equivalent, join-aware form.
 
     With ``stats``, n-way join chains are additionally re-ordered by the
-    cost model: ``ordering="dp"`` (the default) runs the Selinger-style
-    bushy dynamic program (:func:`order_joins_dp`), ``ordering="greedy"``
-    the left-deep greedy orderer (:func:`order_joins`).  ``explain``, if
-    given, is a list that accumulates human-readable lines describing
-    each ordering decision, including the selectivity each leaf
-    selection predicate was charged (and whether it came from an MCV, a
-    histogram bucket, or the uniform fallback).
+    cost model (:func:`order_joins_dp`, which hands chains of more than
+    :data:`DP_LEAF_THRESHOLD` leaves to the greedy :func:`order_joins`).
+    ``explain``, if given, is a list that accumulates human-readable
+    lines describing each ordering decision, including the selectivity
+    each leaf selection predicate was charged (and whether it came from
+    an MCV, a histogram bucket, or the uniform fallback).
     """
-    if ordering not in ("greedy", "dp"):
-        raise PlanError(f"unknown join ordering {ordering!r} (use 'greedy' or 'dp')")
     planned = _plan(expression)
     if stats is not None:
-        if ordering == "dp":
-            planned = order_joins_dp(planned, stats, explain)
-        else:
-            planned = order_joins(planned, stats, explain)
+        planned = order_joins_dp(planned, stats, explain)
     return planned
 
 

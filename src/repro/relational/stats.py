@@ -11,9 +11,9 @@ Statistics are collected in one pass over a database — either a c-table
   *distinct* ground constants appear, and a :class:`ColumnHistogram`
   summarising the value distribution: the most common values (MCVs) of
   skewed columns tracked exactly, the remainder bucketed into an
-  equi-depth histogram (bucket count configurable via
-  ``Statistics.collect(..., buckets=N)``; ``buckets=0`` disables
-  histograms and falls back to the uniform model).
+  equi-depth histogram (:data:`DEFAULT_HISTOGRAM_BUCKETS` buckets;
+  ``TableStats.from_rows(..., buckets=0)`` builds the uniform model
+  the benchmarks and tests compare against).
 
 Collection is **condition-aware**: a variable-bearing cell whose local
 (or global) condition *pins* the variable — ``Eq(x, c)`` entailed by the
@@ -51,8 +51,8 @@ memo on the table itself (:meth:`repro.core.tables.CTable.stats`):
 collected at most once per table value, shared by every database
 version that shares the table (:meth:`~repro.core.tables.TableDatabase.
 replacing`), never stale, and pickled along with the table.
-:meth:`Statistics.collect` reads those memos; an ``Instance`` source or
-a non-default ``buckets``/``mcv_limit`` collects afresh instead.
+:meth:`Statistics.collect` reads those memos; an ``Instance`` source
+collects afresh instead.
 :class:`StatsStore` is what remains of a cache: a session's collection
 counter.
 """
@@ -626,36 +626,20 @@ class Statistics:
         return f"Statistics({sorted(self._tables)})"
 
     @staticmethod
-    def collect(
-        source,
-        buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-        mcv_limit: int = DEFAULT_MCV_LIMIT,
-    ) -> "Statistics":
+    def collect(source) -> "Statistics":
         """Collect statistics from a ``TableDatabase`` or an ``Instance``.
 
-        ``buckets`` configures the per-column equi-depth histograms
-        (``0`` disables them, reverting to the uniform-frequency model);
-        ``mcv_limit`` caps the most-common-value lists.  With the default
-        shape, a ``TableDatabase``'s statistics are each table's memo
+        A ``TableDatabase``'s statistics are its tables' memos
         (:meth:`~repro.core.tables.CTable.stats`), collected at most once
-        per table value; an ``Instance`` or a non-default shape collects
-        afresh and leaves the memos alone.
+        per table value; an ``Instance`` is collected afresh.
         """
-        default = buckets == DEFAULT_HISTOGRAM_BUCKETS and mcv_limit == DEFAULT_MCV_LIMIT
         tables = []
         for item in source:
             if isinstance(item, str):  # Instance: iterates relation names
                 relation = source[item]
-                tables.append(TableStats.from_rows(
-                    item, relation.arity, relation.facts, None, buckets, mcv_limit
-                ))
-            elif default:  # TableDatabase: iterates CTables
+                tables.append(TableStats.from_rows(item, relation.arity, relation.facts))
+            else:  # TableDatabase: iterates CTables
                 tables.append(item.stats())
-            else:
-                tables.append(TableStats.from_rows(
-                    item.name, item.arity, item.rows, item.global_condition,
-                    buckets, mcv_limit,
-                ))
         return Statistics(tables)
 
 

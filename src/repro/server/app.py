@@ -17,9 +17,11 @@ Routes (all bodies and responses JSON)::
     DELETE /dbs/{db}                       drop the database
     GET    /dbs/{db}/database              full database JSON + version
     POST   /dbs/{db}/query                 {"query": "V(X) :- R(X, Y).",
-                                            "ordering"?, "naive"?,
-                                            "use_views"?, "explain"?,
-                                            "datalog"?}
+                                            "naive"?, "use_views"?,
+                                            "explain"?, "datalog"?,
+                                            "analyze"?}
+                                           flags are JSON booleans; any
+                                           other key answers 400
     POST   /dbs/{db}/update                {"op": [...]} or {"ops": [[...], ...]}
                                            ops: ["insert", rel, fact],
                                            ["delete", rel, fact],
@@ -78,6 +80,9 @@ MAX_BODY = 64 * 1024 * 1024
 #: Responses larger than this are streamed with chunked transfer
 #: encoding instead of a single Content-Length write.
 CHUNK_THRESHOLD = 64 * 1024
+
+#: The flags a query body may set next to ``"query"``.
+QUERY_FLAGS = ("naive", "use_views", "explain", "datalog", "analyze")
 
 #: Size of each chunk in a chunked response.
 CHUNK_SIZE = 16 * 1024
@@ -282,9 +287,12 @@ class _Handler(BaseHTTPRequestHandler):
         query_text = body.get("query")
         if not isinstance(query_text, str) or not query_text.strip():
             raise _HttpError(400, 'query needs a {"query": "V(X) :- R(X, Y)."} body')
-        ordering = body.get("ordering")
-        if ordering not in (None, "dp", "greedy"):
-            raise _HttpError(400, f"unknown ordering {ordering!r}")
+        flags = {key: value for key, value in body.items() if key != "query"}
+        for key, value in flags.items():
+            if key not in QUERY_FLAGS:
+                raise _HttpError(400, f"unknown query field {key!r}")
+            if not isinstance(value, bool):
+                raise _HttpError(400, f"query field {key!r} must be true or false")
         # The request's trace id: the client's (sanitized) header if it
         # sent one, else freshly minted here.  A cache hit returns a
         # QueryResult carrying the *original* evaluator's trace id; the
@@ -294,13 +302,8 @@ class _Handler(BaseHTTPRequestHandler):
         result, served_by = self.server.dispatcher.query(
             self.registry.get(db),
             query_text,
-            ordering=ordering,
-            naive=bool(body.get("naive", False)),
-            use_views=bool(body.get("use_views", False)),
-            explain=bool(body.get("explain", False)),
-            datalog=bool(body.get("datalog", False)),
-            analyze=bool(body.get("analyze", False)),
             trace_id=trace_id,
+            **flags,
         )
         payload = {
             "version": result.version,

@@ -130,7 +130,6 @@ class ServerClient:
         name: str,
         query_text: str,
         *,
-        ordering: str | None = None,
         naive: bool = False,
         use_views: bool = False,
         explain: bool = False,
@@ -139,8 +138,6 @@ class ServerClient:
         trace_id: str | None = None,
     ) -> dict:
         payload: dict = {"query": query_text}
-        if ordering is not None:
-            payload["ordering"] = ordering
         if naive:
             payload["naive"] = True
         if use_views:

@@ -26,10 +26,10 @@ Three cooperating pieces, composed by :class:`QueryDispatcher`:
     cannot deadlock, and workers are long-lived.
 
 :class:`RequestCache`
-    A bounded LRU of query results keyed by ``(session, version,
-    fingerprint, options)``.  Versions are monotone per session, so
-    invalidation is free: a version bump simply stops producing the old
-    key.  Hit/miss counters feed ``/stats``.
+    A bounded LRU of query results keyed by ``(session serial, version,
+    fingerprint, naive, use_views)``.  Versions are monotone per session,
+    so invalidation is free: a version bump simply stops producing the
+    old key.  Hit/miss counters feed ``/stats``.
 
 :class:`LatencyTracker`
     A rolling window of per-request latencies with nearest-rank
@@ -93,7 +93,7 @@ def _evaluate(db: TableDatabase, query_text: str, options: dict) -> tuple:
     trace_id = options.get("trace_id")
     try:
         with start_trace(name="worker", trace_id=trace_id):
-            prepared = prepare(query_text, ordering=options.get("ordering") or "dp")
+            prepared = prepare(query_text)
             execution = execute(
                 prepared, db,
                 naive=bool(options.get("naive")), explain=bool(options.get("explain")),
@@ -263,7 +263,6 @@ class WorkerPool:
         snapshot: Snapshot,
         query_text: str,
         *,
-        ordering: "str | None" = None,
         naive: bool = False,
         explain: bool = False,
         trace_id: "str | None" = None,
@@ -278,12 +277,7 @@ class WorkerPool:
         replace = False
         try:
             payload = self._payload(slot, name, snapshot)
-            options = {
-                "ordering": ordering,
-                "naive": naive,
-                "explain": explain,
-                "trace_id": trace_id,
-            }
+            options = {"naive": naive, "explain": explain, "trace_id": trace_id}
             try:
                 slot.conn.send(("query", name, payload, query_text, options))
             except (pickle.PicklingError, TypeError, AttributeError):
@@ -506,7 +500,6 @@ class QueryDispatcher:
         session: DatabaseSession,
         query_text: str,
         *,
-        ordering: "str | None" = None,
         naive: bool = False,
         use_views: bool = False,
         explain: bool = False,
@@ -531,8 +524,7 @@ class QueryDispatcher:
         try:
             with start_trace(name="dispatch", trace_id=trace_id):
                 result, served_by = self._ladder(
-                    session, query_text, ordering, naive, use_views, explain,
-                    datalog, analyze,
+                    session, query_text, naive, use_views, explain, datalog, analyze
                 )
         except BaseException:
             self._bump("errors")
@@ -549,20 +541,18 @@ class QueryDispatcher:
             self._bump("analyze_answers")
         return result, served_by
 
-    def _ladder(
-        self, session, query_text, ordering, naive, use_views, explain, datalog, analyze
-    ):
+    def _ladder(self, session, query_text, naive, use_views, explain, datalog, analyze):
         """cache → view → pool (UCQs only) → inline, all at one snapshot,
         the query prepared once.  A program with several outputs has no
         fingerprint and is never cached."""
-        prepared = session.prepare(query_text, datalog=datalog, ordering=ordering)
+        prepared = session.prepare(query_text, datalog=datalog)
         snap = session.snapshot()
         key = None
         if (
             self.cache is not None and not explain and not analyze
             and prepared.fingerprint is not None
         ):
-            key = (session.serial, snap.version, prepared.fingerprint, ordering, naive, use_views)
+            key = (session.serial, snap.version, prepared.fingerprint, naive, use_views)
             hit = self.cache.get(key)
             if hit is not None:
                 return hit, "cache"
@@ -574,7 +564,6 @@ class QueryDispatcher:
                 session.name,
                 snap,
                 query_text,
-                ordering=prepared.ordering,
                 naive=naive,
                 explain=explain,
                 trace_id=active.trace_id if active is not None else None,

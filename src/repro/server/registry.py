@@ -45,10 +45,9 @@ def load_database_file(path: str) -> tuple[TableDatabase, str]:
 class SessionRegistry:
     """Thread-safe name → :class:`DatabaseSession` mapping."""
 
-    def __init__(self, ordering: str = "dp") -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._sessions: dict[str, DatabaseSession] = {}
-        self._ordering = ordering
 
     def __len__(self) -> int:
         with self._lock:
@@ -75,7 +74,7 @@ class SessionRegistry:
 
     def add(self, name: str, db: TableDatabase, **kwargs) -> DatabaseSession:
         """Register an in-memory database under ``name``."""
-        session = DatabaseSession(name, db, ordering=self._ordering, **kwargs)
+        session = DatabaseSession(name, db, **kwargs)
         with self._lock:
             if name in self._sessions:
                 raise SessionError(f"database {name!r} already exists")
@@ -104,11 +103,7 @@ class SessionRegistry:
         except ViewError as exc:
             raise SessionError(str(exc)) from exc
         session = DatabaseSession(
-            name,
-            db,
-            ordering=self._ordering,
-            source_path=path,
-            source_format=source_format,
+            name, db, source_path=path, source_format=source_format
         )
         try:
             stale = session.adopt_views(registry, digest, on_stale=on_stale)

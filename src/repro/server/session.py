@@ -15,15 +15,15 @@ therefore needs only two disciplines:
   untouched c-table with the previous version).  A batch is all or
   nothing: every op is validated against the starting version before
   any is applied;
-* **publish-then-read** — after every batch the writer *publishes* one
-  new :class:`Snapshot`: the database version, an immutable
-  :class:`~repro.relational.stats.Statistics` cut (each table's
-  statistics memo, filled here for the tables the batch rebuilt), and
-  an immutable cut of every view materialization.  Readers grab the
-  published snapshot in one atomic reference read and never touch
-  mutable state again — no read lock, no half-maintained views, and a
-  query that started before an update finishes against exactly the
-  version it started on.
+* **publish-then-read** — after every batch the writer fills the
+  statistics memo of each table the batch rebuilt
+  (:meth:`~repro.core.tables.CTable.stats`, what the planner costs
+  against) and *publishes* one new :class:`Snapshot`: the database
+  version and an immutable cut of every view materialization.  Readers
+  grab the published snapshot in one atomic reference read and never
+  touch mutable state again — no read lock, no half-maintained views,
+  and a query that started before an update finishes against exactly
+  the version it started on.
 
 The snapshot-isolation invariant (enforced by the concurrent stress
 tests and ``benchmarks/bench_server_throughput.py``): every response is
@@ -44,7 +44,7 @@ from ..core.tables import CTable, TableDatabase
 from ..extensions.updates import apply_update, check_update
 from ..obs.tracing import current_trace
 from ..queries.prepared import PreparedQuery, QueryError, execute, match_view, prepare
-from ..relational.stats import Statistics, StatsStore
+from ..relational.stats import StatsStore
 from ..views import ViewManager
 
 __all__ = ["SessionError", "Snapshot", "QueryResult", "DatabaseSession"]
@@ -68,29 +68,20 @@ def _trace_id() -> "str | None":
 class Snapshot:
     """An immutable view of a served database at one version.
 
-    ``db`` is the c-table database, ``stats`` the matching
-    :class:`Statistics` cut (what the planner costs against), ``views``
-    the matching view materializations as ``(name, query_text,
-    source_fingerprint, table)`` tuples.  Everything reachable from a
-    snapshot is immutable, so it may be read from any thread, forever;
-    holding an old snapshot simply pins that version's structurally
-    shared tables in memory.
+    ``db`` is the c-table database (its tables carry their statistics
+    memos), ``views`` the matching view materializations as ``(name,
+    query_text, source_fingerprint, table)`` tuples.  Everything
+    reachable from a snapshot is immutable, so it may be read from any
+    thread, forever; holding an old snapshot simply pins that version's
+    structurally shared tables in memory.
     """
 
-    __slots__ = ("name", "version", "db", "stats", "views")
+    __slots__ = ("name", "version", "db", "views")
 
-    def __init__(
-        self,
-        name: str,
-        version: int,
-        db: TableDatabase,
-        stats: Statistics,
-        views: tuple,
-    ) -> None:
+    def __init__(self, name: str, version: int, db: TableDatabase, views: tuple) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "db", db)
-        object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "views", views)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -153,7 +144,6 @@ class DatabaseSession:
         self,
         name: str,
         db: TableDatabase,
-        ordering: str = "dp",
         source_path: "str | None" = None,
         source_format: str = "json",
     ) -> None:
@@ -163,10 +153,9 @@ class DatabaseSession:
         self.serial = next(_SERIALS)
         self.source_path = source_path
         self.source_format = source_format
-        self._ordering = ordering
         self._write_lock = threading.RLock()
         self._store = StatsStore()
-        self._views = ViewManager(db, ordering=ordering)
+        self._views = ViewManager(db)
         self._snapshot: Snapshot | None = None
         self._publish(db, 0)
 
@@ -179,11 +168,6 @@ class DatabaseSession:
     @property
     def version(self) -> int:
         return self._snapshot.version
-
-    @property
-    def ordering(self) -> str:
-        """The session's default join-ordering strategy."""
-        return self._ordering
 
     @property
     def store(self) -> StatsStore:
@@ -206,9 +190,8 @@ class DatabaseSession:
         view cut is O(number of views); the reference swap at the end is
         the single point where readers move to the new version.
         """
-        stats = self._store.snapshot(db)
-        views = self._views.materializations()
-        snapshot = Snapshot(self.name, version, db, stats, views)
+        self._store.snapshot(db)
+        snapshot = Snapshot(self.name, version, db, self._views.materializations())
         self._snapshot = snapshot
         return snapshot
 
@@ -217,7 +200,6 @@ class DatabaseSession:
     def query(
         self,
         query_text: str,
-        ordering: "str | None" = None,
         naive: bool = False,
         use_views: bool = False,
         explain: bool = False,
@@ -232,20 +214,18 @@ class DatabaseSession:
         ``analyze=True`` (not ``naive``) fills ``QueryResult.analyze``
         with the JSON-ready EXPLAIN ANALYZE payload.
         """
-        prepared = self.prepare(query_text, datalog=datalog, ordering=ordering)
+        prepared = self.prepare(query_text, datalog=datalog)
         snap = self._snapshot
         result = self.answer_from_view(prepared, snap, naive=naive, use_views=use_views)
         if result is None:
             result = self.evaluate(prepared, snap, naive=naive, explain=explain, analyze=analyze)
         return result
 
-    def prepare(
-        self, query_text: str, datalog: bool = False, ordering: "str | None" = None
-    ) -> PreparedQuery:
-        """Compile query text once, with the session's default ordering
-        unless ``ordering`` is given; bad text raises :class:`SessionError`."""
+    @staticmethod
+    def prepare(query_text: str, datalog: bool = False) -> PreparedQuery:
+        """Compile query text once; bad text raises :class:`SessionError`."""
         try:
-            return prepare(query_text, datalog=datalog, ordering=ordering or self._ordering)
+            return prepare(query_text, datalog=datalog)
         except QueryError as exc:
             raise SessionError(str(exc)) from exc
 
@@ -272,10 +252,10 @@ class DatabaseSession:
         explain: bool = False,
         analyze: bool = False,
     ) -> QueryResult:
-        """Evaluate ``prepared`` against ``snap``'s database and statistics."""
+        """Evaluate ``prepared`` against ``snap``'s database."""
         try:
             execution = execute(
-                prepared, snap.db, snap.stats, naive=naive, explain=explain, analyze=analyze
+                prepared, snap.db, naive=naive, explain=explain, analyze=analyze
             )
         except QueryError as exc:
             raise SessionError(str(exc)) from exc
@@ -380,9 +360,7 @@ class DatabaseSession:
 
         with self._write_lock:
             snap = self._snapshot
-            manager, stale = manager_from_registry(
-                registry, snap.db, digest, on_stale=on_stale, ordering=self._ordering
-            )
+            manager, stale = manager_from_registry(registry, snap.db, digest, on_stale=on_stale)
             self._views = manager
             self._publish(snap.db, snap.version)
             return stale

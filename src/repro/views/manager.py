@@ -205,8 +205,8 @@ class _RecursiveView:
 class ViewManager:
     """Registry + incremental maintainer of materialized c-table views.
 
-    Each view's joins are cost-ordered (``ordering``) against the
-    database's statistics when the view is defined.
+    Each view's joins are cost-ordered against the database's
+    statistics when the view is defined.
 
     ``counters`` exposes the maintenance telemetry the benchmarks and
     ``--explain`` surface: ``delta_rows``/``removed_rows``/
@@ -221,11 +221,10 @@ class ViewManager:
     #: How many maintenance-log lines are retained.
     LOG_LIMIT = 50
 
-    def __init__(self, db: TableDatabase, ordering: str = "dp") -> None:
+    def __init__(self, db: TableDatabase) -> None:
         self._db = db
         #: Reentrant; every public entry point below acquires it.
         self.lock = threading.RLock()
-        self._ordering = ordering
         self._views: dict[str, _View] = {}
         self._nodes: dict[str, _PlanNode] = {}
         self._epoch = 0
@@ -287,7 +286,7 @@ class ViewManager:
                 source = self._compile(query)
             else:
                 source = query
-            planned = plan(source, stats=Statistics.collect(self._db), ordering=self._ordering)
+            planned = plan(source, stats=Statistics.collect(self._db))
             # Transactional: a failure while materializing (unknown relation,
             # arity mismatch) must not leave freshly-interned, partially
             # cached nodes behind — no view would own them, so notifications
@@ -327,7 +326,7 @@ class ViewManager:
                 compiled = program
             else:
                 try:
-                    compiled = CTFixpoint(program, ordering=self._ordering)
+                    compiled = CTFixpoint(program)
                 except ValueError as exc:
                     raise ViewError(f"cannot compile recursive view: {exc}") from exc
             chosen = output if output is not None else name
@@ -544,7 +543,7 @@ class ViewManager:
         from ..relational.parser import ParseError, parse_datalog
 
         try:
-            return CTFixpoint(parse_datalog(query_text), ordering=self._ordering)
+            return CTFixpoint(parse_datalog(query_text))
         except (ParseError, ValueError) as exc:
             raise ViewError(f"cannot compile recursive view: {exc}") from exc
 

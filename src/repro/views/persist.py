@@ -159,7 +159,6 @@ def manager_from_registry(
     db: TableDatabase,
     digest: str | None = None,
     on_stale: str = "error",
-    ordering: str = "dp",
 ) -> tuple[ViewManager, tuple[str, ...]]:
     """Rebuild a live :class:`ViewManager` from a registry dict.
 
@@ -173,8 +172,7 @@ def manager_from_registry(
     :class:`StaleViewRegistryError` naming them, ``"refresh"``
     re-materializes them against ``db`` anyway, ``"skip"`` leaves them
     out of the manager.  Returns ``(manager, stale_names)`` so callers
-    can report what was refreshed or skipped.  ``ordering`` is the new
-    manager's join-ordering strategy.
+    can report what was refreshed or skipped.
     """
     if on_stale not in ("error", "refresh", "skip"):
         raise ValueError(f"unknown on_stale policy {on_stale!r}")
@@ -192,7 +190,7 @@ def manager_from_registry(
             "with an explicit stale policy",
             stale,
         )
-    manager = ViewManager(db, ordering=ordering)
+    manager = ViewManager(db)
     for name, entry in sorted(views.items()):
         if name in stale and on_stale == "skip":
             continue

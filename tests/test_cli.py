@@ -266,15 +266,6 @@ class TestEvalExplain:
         assert len(order_lines) == 1
         assert "><" in order_lines[0] and "~" in order_lines[0]
 
-    def test_ordering_greedy_agrees_with_dp(self, db_file, capsys):
-        rule = "Q(X) :- R(X, Y), R(Y, Z), R(Z, W)."
-        assert main(["eval", db_file, rule, "--ordering", "dp"]) == EXIT_YES
-        dp = capsys.readouterr().out.splitlines()
-        assert main(["eval", db_file, rule, "--ordering", "greedy"]) == EXIT_YES
-        greedy = capsys.readouterr().out.splitlines()
-        assert dp[0] == greedy[0]  # the header line
-        assert set(dp[1:]) == set(greedy[1:])
-
     def test_eval_multiple_queries_share_one_invocation(self, db_file, capsys):
         first = "Q(X) :- R(X, Y)."
         second = "P(Y) :- R(X, Y)."

@@ -71,7 +71,6 @@ def test_readme_covers_the_required_tour():
     for required in (
         "pytest",
         "--explain",
-        "--ordering",
         "bench_histogram_selectivity.py",
         "examples/quickstart.py",
     ):

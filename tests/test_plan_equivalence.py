@@ -6,8 +6,8 @@ represented set of worlds::
 
     rep(evaluate_ct(e, D))                 # naive select-over-product
     == rep(evaluate_ct_optimized(e, D))    # rewrite-planned, input order
-    == rep(evaluate_ct_ordered(e, D, ordering="greedy"))  # greedy left-deep
-    == rep(evaluate_ct_ordered(e, D, ordering="dp"))      # Selinger DP, bushy
+    == rep(evaluate_ct_optimized(order_joins(plan(e), stats), D))  # greedy
+    == rep(evaluate_ct_ordered(e, D))      # Selinger DP, bushy
 
 checked through the world-enumeration oracle on 300+ randomized 2-6-way
 join expressions (connected random join graphs, occasionally cyclic) over
@@ -19,7 +19,9 @@ Structural properties of the ordering passes ride along: both are pure
 reassociations (same scans, same arity, original column order restored),
 both are deterministic, the DP orderer picks genuinely bushy shapes on
 snowflake graphs and falls back to the greedy orderer above its leaf
-threshold.
+threshold.  The greedy orderer runs in the planner only as that
+fallback, so the harness orders its greedy arm directly, and an 11-atom
+chain query drives the fallback through the whole query pipeline.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from repro.core.tables import TableDatabase
 from repro.core.terms import Constant
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
 from repro.ctalgebra import evaluate_ct, evaluate_ct_optimized, evaluate_ct_ordered
+from repro.queries.prepared import execute, prepare
 from repro.relational import (
+    DP_LEAF_THRESHOLD,
     Join,
-    PlanError,
     Product,
     Scan,
     Statistics,
@@ -60,8 +63,10 @@ def _rep(table, extra):
 def assert_all_paths_agree(expression, db):
     naive = evaluate_ct(expression, db, name="V")
     planned = evaluate_ct_optimized(expression, db, name="V")
-    greedy = evaluate_ct_ordered(expression, db, name="V", ordering="greedy")
-    dp = evaluate_ct_ordered(expression, db, name="V", ordering="dp")
+    greedy = evaluate_ct_optimized(
+        order_joins(plan(expression), Statistics.collect(db)), db, name="V"
+    )
+    dp = evaluate_ct_ordered(expression, db, name="V")
     assert naive.arity == planned.arity == greedy.arity == dp.arity
     extra = sorted(db.constants(), key=Constant.sort_key)
     rep_naive = _rep(naive, extra)
@@ -131,7 +136,7 @@ class TestOrderingIsAReassociation:
         db = star_join_database(rng, num_dims=3, dim_rows=4, fact_rows=32)
         expr = star_join_expression(num_dims=3)
         explain: list[str] = []
-        plan(expr, stats=Statistics.collect(db), explain=explain, ordering="greedy")
+        order_joins(plan(expr), Statistics.collect(db), explain)
         assert len(explain) == 1
         order = explain[0]
         assert order.startswith("join order: ")
@@ -176,22 +181,22 @@ class TestSelingerDP:
 
     def test_dp_picks_a_bushy_plan_on_the_snowflake(self):
         db, expr, stats = self._snowflake()
-        dp_plan = plan(expr, stats=stats, ordering="dp")
-        greedy_plan = plan(expr, stats=stats, ordering="greedy")
+        dp_plan = plan(expr, stats)
+        greedy_plan = order_joins(plan(expr), stats)
         assert _has_bushy_join(dp_plan)
         assert not _has_bushy_join(greedy_plan)  # greedy is left-deep only
 
     def test_dp_plan_is_equivalent_on_the_snowflake(self):
         db, expr, stats = self._snowflake()
         left_deep = evaluate_ct_optimized(expr, db, name="V")
-        dp = evaluate_ct_ordered(expr, db, name="V", stats=stats, ordering="dp")
+        dp = evaluate_ct_ordered(expr, db, name="V", stats=stats)
         assert left_deep.arity == dp.arity == expr.arity
         assert set(left_deep.rows) == set(dp.rows)
 
     def test_dp_explain_shows_bushy_shape_and_estimates(self):
         db, expr, stats = self._snowflake()
         explain: list[str] = []
-        plan(expr, stats=stats, explain=explain, ordering="dp")
+        plan(expr, stats, explain)
         assert len(explain) == 1
         line = explain[0]
         assert line.startswith("join order: ")
@@ -200,9 +205,7 @@ class TestSelingerDP:
 
     def test_dp_is_deterministic(self):
         db, expr, stats = self._snowflake()
-        assert repr(plan(expr, stats=stats, ordering="dp")) == repr(
-            plan(expr, stats=stats, ordering="dp")
-        )
+        assert repr(plan(expr, stats)) == repr(plan(expr, stats))
 
     def test_dp_falls_back_to_greedy_above_the_leaf_threshold(self):
         db, expr, stats = self._snowflake()
@@ -228,6 +231,33 @@ class TestSelingerDP:
         )
         assert_all_paths_agree(expr, db)
 
-    def test_plan_rejects_unknown_ordering(self):
-        with pytest.raises(PlanError):
-            plan(Scan("R", 2), stats=Statistics(), ordering="exhaustive")
+
+def _chain_database(length: int) -> TableDatabase:
+    """``length`` two-row tables ``E0..``, each ``{(0, 0), (1, 1)}``,
+    except that ``E0``'s second row starts at the null ``x`` and ``E5``'s
+    holds only when ``x != 0``: the 1-path carries both to the answer."""
+    from repro.io.text import loads_database
+
+    tables = []
+    for i in range(length):
+        second = "?x 1" if i == 0 else "1 1 :: x != 0" if i == 5 else "1 1"
+        tables.append(f"%table E{i}/2\n0 0\n{second}\n")
+    return loads_database("".join(tables))
+
+
+class TestGreedyFallbackThroughThePipeline:
+    def test_long_chain_runs_the_greedy_fallback_and_matches_the_oracle(self):
+        length = DP_LEAF_THRESHOLD + 1
+        db = _chain_database(length)
+        body = ", ".join(f"E{i}(X{i}, X{i + 1})" for i in range(length))
+        prepared = prepare(f"Q(X0, X{length}) :- {body}.")
+
+        planned = execute(prepared, db, explain=True)
+        oracle = execute(prepared, db, naive=True)
+
+        assert any(
+            line.startswith(f"dp fallback: {length} leaves > {DP_LEAF_THRESHOLD}")
+            for line in planned.explain
+        ), planned.explain
+        extra = sorted(db.constants(), key=Constant.sort_key)
+        assert _rep(planned.table, extra) == _rep(oracle.table, extra)

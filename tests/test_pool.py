@@ -275,10 +275,11 @@ class TestQueryDispatcher:
         try:
             _, how1 = dispatcher.query(session, PATH_QUERY)
             _, how2 = dispatcher.query(session, PATH_QUERY, naive=True)
-            _, how3 = dispatcher.query(session, PATH_QUERY, ordering="greedy")
+            _, how3 = dispatcher.query(session, PATH_QUERY, use_views=True)
             assert (how1, how2, how3) == ("inline", "inline", "inline")
             _, how4 = dispatcher.query(session, PATH_QUERY, naive=True)
-            assert how4 == "cache"
+            _, how5 = dispatcher.query(session, PATH_QUERY, use_views=True)
+            assert (how4, how5) == ("cache", "cache")
         finally:
             dispatcher.close()
 

@@ -154,9 +154,7 @@ class TestDatabaseSession:
         )
         planned = session.query(PATH_QUERY)
         naive = session.query(PATH_QUERY, naive=True)
-        greedy = session.query(PATH_QUERY, ordering="greedy")
         assert row_values(planned.table) == row_values(naive.table)
-        assert row_values(planned.table) == row_values(greedy.table)
 
     def test_explain_lines_present(self):
         session = DatabaseSession("g", graph_db(("a", "b"), ("b", "c")))
@@ -280,26 +278,6 @@ class TestSessionPersistence:
         }
         result = reloaded.query("W(X, Z) :- R(X, Y), R(Y, Z).", use_views=True)
         assert result.answered_by_view == "V"
-
-    def test_sidecar_views_keep_the_session_ordering(self, tmp_path, monkeypatch):
-        import repro.views.manager as manager_module
-
-        path = self.make_file(tmp_path)
-        session, _ = SessionRegistry(ordering="greedy").open_file("g", path)
-        session.define_view("V(X, Z) :- R(X, Y), R(Y, Z).")
-        session.persist()
-        orderings = []
-        real_plan = manager_module.plan
-
-        def recording_plan(expression, **kwargs):
-            orderings.append(kwargs.get("ordering"))
-            return real_plan(expression, **kwargs)
-
-        monkeypatch.setattr(manager_module, "plan", recording_plan)
-        reloaded, _ = SessionRegistry(ordering="greedy").open_file("g2", path)
-        assert orderings == ["greedy"]
-        reloaded.define_view("W(X) :- R(X, Y).")
-        assert orderings == ["greedy", "greedy"]
 
     def test_stale_sidecar_is_an_explicit_error(self, tmp_path):
         registry = SessionRegistry()
@@ -498,11 +476,33 @@ class TestHttpApi:
     def test_explain_and_snapshot_download(self, server_client):
         _, client = server_client
         create_graph(client)
-        response = client.query("g", PATH_QUERY, explain=True, ordering="greedy")
+        response = client.query("g", PATH_QUERY, explain=True)
         assert "explain" in response
         snap = client.snapshot("g")
         assert snap["version"] == 0
         assert [t["name"] for t in snap["database"]["tables"]] == ["R"]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("naive", "false"), ("explain", "no"), ("use_views", 1)]
+    )
+    def test_query_flag_must_be_a_json_boolean(self, server_client, flag, value):
+        _, client = server_client
+        create_graph(client)
+        with pytest.raises(ServerError) as excinfo:
+            client._request("POST", "/dbs/g/query", {"query": PATH_QUERY, flag: value})
+        assert excinfo.value.status == 400
+        assert repr(flag) in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["ordering", "odering"])
+    def test_unknown_query_field_is_400(self, server_client, field):
+        _, client = server_client
+        create_graph(client)
+        with pytest.raises(ServerError) as excinfo:
+            client._request("POST", "/dbs/g/query", {"query": PATH_QUERY, field: "dp"})
+        assert excinfo.value.status == 400
+        assert repr(field) in str(excinfo.value)
+        body = {"query": PATH_QUERY, "naive": False, "explain": True}
+        assert "explain" in client._request("POST", "/dbs/g/query", body)
 
     def test_persist_without_file_backing_is_400(self, server_client):
         _, client = server_client
