@@ -237,12 +237,6 @@ def _cmd_convert(args) -> int:
 # :class:`~repro.views.ViewError`s into user-facing :class:`CliError`s.
 
 
-def _registry_path(db_path: str) -> str:
-    from .views.persist import registry_path
-
-    return registry_path(db_path)
-
-
 def _db_digest(db_path: str) -> str:
     from .views import ViewError
     from .views.persist import file_digest
@@ -334,12 +328,14 @@ def _cmd_view_list(args) -> int:
         return EXIT_YES
     digest = _db_digest(args.database)
     for name, entry in sorted(views.items()):
-        table = entry.get("table", {})
+        table = entry.get("table")
+        table = table if isinstance(table, dict) else {}
+        rows = table.get("rows")
         state = "fresh" if entry.get("digest") == digest else "stale"
-        query = " ".join(entry.get("query", "").split())
+        query = " ".join(entry["query"].split())
         print(
-            f"{name}/{table.get('arity', '?')}: {len(table.get('rows', ()))} rows, "
-            f"{state} -- {query}"
+            f"{name}/{table.get('arity', '?')}: "
+            f"{len(rows) if isinstance(rows, list) else '?'} rows, {state} -- {query}"
         )
     return EXIT_YES
 
@@ -368,13 +364,7 @@ def _cmd_view_refresh(args) -> int:
         if args.name is None and entry.get("digest") == digest:
             print(f"view {name}: fresh, skipped")
             continue
-        query_text = entry.get("query")
-        if not query_text:
-            raise CliError(
-                f"{_registry_path(args.database)}: view {name!r} has no stored "
-                "query (registry edited by hand?); repro view drop it"
-            )
-        table = _materialize_view(manager, name, query_text)
+        table = _materialize_view(manager, name, entry["query"])
         entry["digest"] = digest
         entry["table"] = table_to_json(table)
         print(f"refreshed view {name}/{table.arity} ({len(table)} rows)")
@@ -396,9 +386,10 @@ def _cmd_view_drop(args) -> int:
 def _sidecar_views(db_path: str, datalog: bool):
     """The registered views as ``match_view`` candidates, split ``(fresh,
     stale)`` by the database digest; ``None`` when none is registered.
-    Loaded once per invocation.  An entry whose query does not compile as
-    this invocation's kind, or whose table is mangled, is skipped: a
-    registry edited by hand is never fatal for eval."""
+    Loaded once per invocation.  A sidecar that is not a registry (see
+    :func:`~repro.views.persist.load_registry`) is a CLI error; an entry
+    whose query does not compile as this invocation's kind, or whose
+    table is mangled, is skipped and eval answers from base tables."""
     from .io.jsonio import table_from_json
     from .queries.prepared import prepare
 
@@ -409,10 +400,10 @@ def _sidecar_views(db_path: str, datalog: bool):
     fresh, stale = [], []
     for name, entry in sorted(views.items()):
         try:
-            fingerprint = prepare(entry.get("query", ""), datalog).fingerprint
+            fingerprint = prepare(entry["query"], datalog).fingerprint
             table = table_from_json(entry.get("table") or {})
-        except (KeyError, ValueError):
-            continue
+        except (AttributeError, KeyError, TypeError, ValueError):
+            continue  # a mangled stored table has no one failure type
         (fresh if entry.get("digest") == digest else stale).append((name, fingerprint, table))
     return fresh, stale
 

@@ -46,7 +46,7 @@ from ..core.conditions import (
     Eq,
     Neq,
 )
-from ..core.tables import CTable, Row, TableDatabase
+from ..core.tables import Row, TableDatabase
 from ..core.terms import Constant, as_constant
 
 __all__ = ["insert_fact", "delete_fact", "modify_fact", "apply_update", "check_update"]
@@ -96,8 +96,10 @@ def insert_fact(
     every world of the result contains the fact exactly once.
     """
     table, target = _ground_target(db, relation, fact)
-    updated = table.with_rows(tuple(table.rows) + (Row(target),))
-    return _replace(db, updated, views, "insert", target)
+    updated = db.replacing(table.with_rows(tuple(table.rows) + (Row(target),)))
+    if views is not None:
+        views.notify_insert(relation, target, updated)
+    return updated
 
 
 def delete_fact(
@@ -110,16 +112,23 @@ def delete_fact(
     world only under valuations where it produces a *different* fact.
     Rows equal to the fact outright (ground match, empty unification)
     are dropped.
+
+    ``views`` is told which rows were dropped and whether any condition
+    was rewritten, so it maintains pure removals by delta without
+    diffing the old and new tables.
     """
     table, target = _ground_target(db, relation, fact)
     rows: list[Row] = []
+    dropped: list[Row] = []
+    rewritten = False
     for row in table.rows:
         atoms = _unification_atoms(row, target)
         if atoms is None:
             rows.append(row)  # can never produce the fact: unchanged
             continue
         if not atoms:
-            continue  # ground row equal to the fact: always deleted
+            dropped.append(row)  # ground row equal to the fact: always deleted
+            continue
         negation: BoolCondition = BoolOr(
             tuple(BoolAtom(Neq(a.left, a.right)) for a in atoms)
         ).flattened()
@@ -129,9 +138,15 @@ def delete_fact(
             else BoolAnd((row.condition, negation)).flattened()
         )
         if condition == BOOL_FALSE:
+            dropped.append(row)
             continue
-        rows.append(Row(row.terms, condition))
-    return _replace(db, table.with_rows(rows), views, "delete", target)
+        strengthened = Row(row.terms, condition)
+        rewritten = rewritten or strengthened != row
+        rows.append(strengthened)
+    updated = db.replacing(table.with_rows(rows))
+    if views is not None:
+        views.notify_delete(relation, target, updated, tuple(dropped), rewritten)
+    return updated
 
 
 def modify_fact(
@@ -164,11 +179,3 @@ def check_update(db: TableDatabase, op) -> None:
     non-constant value or a wrong arity — without applying it."""
     for fact in op[2:]:
         _ground_target(db, op[1], fact)
-
-
-def _replace(db: TableDatabase, table: CTable, views, kind: str, target) -> TableDatabase:
-    updated = db.replacing(table)
-    if views is not None:
-        notify = views.notify_insert if kind == "insert" else views.notify_delete
-        notify(table.name, target, updated)
-    return updated

@@ -15,17 +15,19 @@ database *incrementally*:
   tables, instead of re-running the whole view);
 * **deletes** whose c-table semantics purely *remove* rows (the deleted
   fact matched ground rows only — no local condition was rewritten)
-  propagate as **removal deltas**: the output rows each operator derived
-  from the removed inputs are reconstructed exactly (same operator, same
-  cached siblings — construction is deterministic) and subtracted from
-  the caches, guarded by per-node soundness conditions (see
-  :meth:`ViewManager._removal_delta`);
-* all other deletes and modifications — the deleted fact unified with a
-  variable-bearing row, so base-row *conditions* were rewritten in
-  place, or a guard above fails — trigger *targeted recomputation*:
-  only the plan nodes whose subtree reads the touched relation are
-  re-executed, against the cached results of their untouched siblings,
-  never the whole view from cold;
+  propagate as **removal deltas**: the update reports the rows it
+  dropped, the scan applies that report in O(delta), and the output
+  rows each operator derived from the removed inputs are reconstructed
+  exactly (same operator, same cached siblings — construction is
+  deterministic) and subtracted from the caches, guarded by per-node
+  soundness conditions (see :meth:`ViewManager._removal_delta`);
+* a delete whose fact unified with a variable-bearing row, so a
+  base-row *condition* was rewritten in place, or whose removal fails
+  a guard above, triggers *targeted recomputation*: only the plan
+  nodes whose subtree reads the touched relation are re-executed,
+  against the cached results of their untouched siblings, never the
+  whole view from cold (a modification is a delete then an insert,
+  each half on its own path);
 * an insert reaching the **right side of a difference** also falls back
   to recomputation of that node (and its ancestors): new right rows
   strengthen existing output conditions, which no additive delta can
@@ -64,6 +66,8 @@ from __future__ import annotations
 
 import threading
 
+from collections import Counter
+from operator import attrgetter
 from typing import Iterable
 
 from ..core.tables import CTable, Row, TableDatabase
@@ -121,11 +125,12 @@ class _PlanNode:
     Nodes are interned per manager by :func:`plan_fingerprint`, so views
     whose planned trees overlap share both the node and its cache.
     ``seen`` mirrors ``cache.rows`` as a set, making delta appends and
-    removals O(delta); ``plain`` counts the rows without a local
-    condition (when it equals the row count, rows are pairwise distinct
-    on their terms — the soundness guard of the join removal delta);
-    ``epoch``/``result`` memoise the per-update walk so a shared node
-    does maintenance work once per update, not once per dependent view.
+    removals O(delta); ``counts`` maps each term tuple of the cache to
+    how many of its rows carry it (rows with equal terms differ in their
+    conditions), with no zero entries — the soundness guard of the
+    join removal delta reads it; ``epoch``/``result`` memoise the
+    per-update walk so a shared node does maintenance work once per
+    update, not once per dependent view.
 
     ``partitions`` holds, for Join/Product nodes, the maintained
     :class:`~repro.ctalgebra.operators.JoinPartition` of each child's
@@ -140,7 +145,7 @@ class _PlanNode:
 
     __slots__ = (
         "expr", "fingerprint", "children", "relations",
-        "cache", "seen", "plain", "epoch", "result", "partitions",
+        "cache", "seen", "counts", "epoch", "result", "partitions",
     )
 
     def __init__(self, expr: RAExpression, fingerprint: str, children: list["_PlanNode"]) -> None:
@@ -150,7 +155,7 @@ class _PlanNode:
         self.relations = frozenset(expr.relation_names())
         self.cache: CTable | None = None
         self.seen: set[Row] = set()
-        self.plain = 0
+        self.counts: Counter = Counter()
         self.epoch = -1
         self.result = _NONE
         self.partitions: dict[int, JoinPartition] = {}
@@ -470,12 +475,19 @@ class ViewManager:
                     self._insert_walk(view.root, relation, row)
             self._log_delta(relation, "insert into", affected, before)
 
-    def notify_delete(self, relation: str, fact: Iterable, db: TableDatabase) -> None:
-        """A ground fact was deleted from ``relation``.  Pure row
-        removals propagate as removal deltas; condition-rewriting
-        deletions (the fact unified with a null) recompute dependent
-        subtrees against cached siblings — targeted, never the whole
-        tree when any subtree avoids the relation."""
+    def notify_delete(
+        self, relation: str, fact: Iterable, db: TableDatabase,
+        dropped: tuple, rewritten: bool,
+    ) -> None:
+        """A ground fact was deleted from ``relation``; ``db`` is the
+        updated database.  ``dropped`` and ``rewritten`` are the update's
+        report (see :func:`repro.extensions.updates.delete_fact`): the
+        rows it dropped from the table, and whether it strengthened any
+        row's condition in place.  Pure row removals propagate as removal
+        deltas from the dropped rows, in O(delta) at the scan;
+        condition-rewriting deletions (the fact unified with a null)
+        recompute dependent subtrees against cached siblings — targeted,
+        never the whole tree when any subtree avoids the relation."""
         with self.lock:
             affected = self._begin(relation, db, "delete from")
             if not affected:
@@ -488,7 +500,7 @@ class ViewManager:
                     # consumed it, so re-fixpoint from scratch.
                     self._refixpoint(view)
                 else:
-                    self._delete_walk(view.root, relation)
+                    self._delete_walk(view.root, relation, dropped, rewritten)
             removed = self.counters["removed_rows"] - before["removed_rows"]
             recomputed = self.counters["recomputed_nodes"] - before["recomputed_nodes"]
             refixpoints = (
@@ -512,14 +524,16 @@ class ViewManager:
             self._log(line)
 
     def notify_modify(
-        self, relation: str, old: Iterable, new: Iterable, db: TableDatabase
+        self, relation: str, old: Iterable, new: Iterable, db: TableDatabase,
+        dropped: tuple, rewritten: bool,
     ) -> None:
         """A fact was modified.  The update path implements modify as
         delete-then-insert and notifies each half separately; this entry
         point exists for callers applying a modification atomically (both
-        halves run under one acquisition of :attr:`lock`)."""
+        halves run under one acquisition of :attr:`lock`).  ``dropped``
+        and ``rewritten`` are the delete half's report."""
         with self.lock:
-            self.notify_delete(relation, old, db)
+            self.notify_delete(relation, old, db, dropped, rewritten)
             self.notify_insert(relation, new, db)
 
     # -- internals -----------------------------------------------------------
@@ -601,9 +615,7 @@ class ViewManager:
         """(Re)compute a node from the database / its children's caches."""
         node.cache = self._apply(node)
         node.seen = set(node.cache.rows)
-        node.plain = sum(
-            1 for row in node.cache.rows if not row.has_local_condition()
-        )
+        node.counts = Counter(map(attrgetter("terms"), node.cache.rows))
         # A rebuild means the children's caches changed in ways the walk
         # results don't describe; any maintained partitions are stale.
         node.partitions.clear()
@@ -674,27 +686,45 @@ class ViewManager:
         for row in rows:
             if row not in node.seen:
                 node.seen.add(row)
+                node.counts[row.terms] += 1
                 fresh.append(row)
         new = tuple(fresh)
         if new:
             node.cache = node.cache.extended(new)
-            node.plain += sum(1 for row in new if not row.has_local_condition())
             self.counters["delta_rows"] += len(new)
             self.counters["delta_nodes"] += 1
         return new
 
-    def _subtract(self, node: _PlanNode, removed: tuple) -> None:
-        """Drop reconstructed removal-delta rows from a node's cache."""
-        gone = set(removed)
-        table = node.cache
-        rows = tuple(row for row in table.rows if row not in gone)
-        node.cache = CTable._trusted(
-            table.name, table.arity, rows, table.global_condition
-        )
-        node.seen -= gone
-        node.plain -= sum(1 for row in gone if not row.has_local_condition())
-        self.counters["removed_rows"] += len(gone)
-        self.counters["delta_nodes"] += 1
+    def _subtract(self, node: _PlanNode, removed: tuple) -> tuple:
+        """Drop reconstructed removal-delta rows from a node's cache;
+        returns the rows it actually dropped (a reconstruction may
+        include rows the cache never held, e.g. pairs its hash join
+        pruned)."""
+        gone = tuple(row for row in dict.fromkeys(removed) if row in node.seen)
+        if gone:
+            dropped = set(gone)
+            table = node.cache
+            rows = tuple(row for row in table.rows if row not in dropped)
+            node.cache = CTable._trusted(
+                table.name, table.arity, rows, table.global_condition
+            )
+            self._forget(node, gone)
+            self.counters["removed_rows"] += len(gone)
+            self.counters["delta_nodes"] += 1
+        return gone
+
+    @staticmethod
+    def _forget(node: _PlanNode, rows) -> None:
+        """Take rows that left a node's cache out of its ``seen`` and
+        ``counts``; a term tuple whose count reaches 0 leaves the map."""
+        node.seen.difference_update(rows)
+        counts = node.counts
+        for row in rows:
+            left = counts[row.terms] - 1
+            if left:
+                counts[row.terms] = left
+            else:
+                del counts[row.terms]
 
     def _partition_for(self, node: _PlanNode, index: int) -> JoinPartition:
         """The maintained partition of child ``index``'s cache for this
@@ -758,6 +788,7 @@ class ViewManager:
                 node.result = _NONE  # idempotent re-insert: rep unchanged
             else:
                 node.seen.add(row)
+                node.counts[row.terms] += 1
                 node.result = ("delta", (row,))
             return node.result
 
@@ -841,17 +872,18 @@ class ViewManager:
         node.result = ("delta", new) if new else _NONE
         return node.result
 
-    def _delete_walk(self, node: _PlanNode, relation: str):
+    def _delete_walk(self, node: _PlanNode, relation: str, dropped: tuple, rewritten: bool):
         """Propagate a deletion through one node.
 
-        Like :meth:`_insert_walk` but for removals: when the base delete
-        purely removed rows (and the per-operator guards of
-        :meth:`_removal_delta` hold), the rows each node derived from the
-        removed inputs are reconstructed and subtracted — O(delta + cache
-        scan) instead of a join.  Returns ``("none", ())``,
-        ``("removed", rows)`` or ``("recompute", ())``; any failure
-        degrades to targeted recomputation of this node (children are
-        already up to date), never the whole tree.
+        Like :meth:`_insert_walk` but for removals.  The scan takes the
+        update's report (``dropped`` rows, ``rewritten`` flag) instead of
+        diffing tables.  When the base delete purely removed rows (and
+        the per-operator guards of :meth:`_removal_delta` hold), the rows
+        each node derived from the removed inputs are reconstructed and
+        subtracted — O(delta + cache scan) instead of a join.  Returns
+        ``("none", ())``, ``("removed", rows)`` or ``("recompute", ())``;
+        any failure degrades to targeted recomputation of this node
+        (children are already up to date), never the whole tree.
         """
         if node.epoch == self._epoch:
             return node.result
@@ -860,24 +892,22 @@ class ViewManager:
             node.result = _NONE
             return _NONE
         if isinstance(node.expr, Scan):
-            table = self._db[node.expr.name]
-            if table.rows == node.cache.rows:
+            if rewritten:
+                # A condition was strengthened in place: no removal delta
+                # exists.  Re-reading the table is a cache swap, not a
+                # recomputation — the counter reports the ancestors.
+                self._rebuild(node)
+                node.result = _RECOMPUTE
+            elif dropped:
+                node.cache = self._db[node.expr.name]
+                self._forget(node, dropped)
+                node.result = ("removed", dropped)
+            else:
                 node.result = _NONE  # the deletion matched nothing
-                return _NONE
-            # Rows present now but unseen before are *rewrites*: the fact
-            # unified with a variable-bearing row and its condition was
-            # strengthened.  No removal delta exists for those.
-            new_seen = set(table.rows)
-            rewritten = any(row not in node.seen for row in table.rows)
-            removed = tuple(row for row in node.cache.rows if row not in new_seen)
-            node.cache = table
-            node.seen = new_seen
-            node.plain = sum(1 for row in table.rows if not row.has_local_condition())
-            # A scan refresh is a cache swap, not a recomputation — the
-            # ancestors that now rebuild are what the counter reports.
-            node.result = _RECOMPUTE if rewritten else ("removed", removed)
             return node.result
-        results = [self._delete_walk(child, relation) for child in node.children]
+        results = [
+            self._delete_walk(child, relation, dropped, rewritten) for child in node.children
+        ]
         if all(result[0] == "none" for result in results):
             node.result = _NONE
             return _NONE
@@ -887,13 +917,10 @@ class ViewManager:
         if removal is None:
             return self._recompute_node(node)
         self._sync_partitions(node, results)
-        if not removal:
-            # The removed inputs derived nothing here: the cache is
-            # unchanged and ancestors can skip their guard checks.
-            node.result = _NONE
-            return _NONE
-        self._subtract(node, removal)
-        node.result = ("removed", removal)
+        removal = self._subtract(node, removal)
+        # An empty removal derived nothing here: the cache is unchanged
+        # and ancestors can skip their guard checks.
+        node.result = ("removed", removal) if removal else _NONE
         return node.result
 
     def _removal_delta(self, node: _PlanNode, results) -> "tuple | None":
@@ -914,11 +941,14 @@ class ViewManager:
         subtracted row must not be derivable from surviving inputs.
         Select and intersect-like shapes are injective per input row;
         projections qualify only when they keep every input column (no
-        merging); joins/products embed the affected child's terms
-        verbatim, so they qualify when that child's rows are pairwise
-        distinct on terms — guaranteed when every row is
-        condition-free (``plain == len(rows)``: the constructor dedups);
-        unions check the sibling's seen-set row by row.
+        merging); unions check both children's seen-sets row by row.
+        Joins and products embed the affected child's terms verbatim, so
+        a removed row's outputs can coincide only with outputs of a row
+        carrying the same terms: they qualify when no removed row's
+        terms still count above 0 in the affected (already updated)
+        child.  That makes the guard exact — the cache stays equal, row
+        for row, to a re-evaluation, whatever the removed rows' local
+        conditions.
         """
         expr = node.expr
         if isinstance(expr, Select):
@@ -937,10 +967,8 @@ class ViewManager:
                 return None  # a self-join on the touched relation
             affected, sibling = (left, right) if lres[0] == "removed" else (right, left)
             removed_rows = (lres if lres[0] == "removed" else rres)[1]
-            if affected.plain != len(affected.cache.rows):
-                return None  # terms may repeat: derivations may collide
-            if any(row.has_local_condition() for row in removed_rows):
-                return None
+            if any(affected.counts[row.terms] for row in removed_rows):
+                return None  # a survivor shares terms: derivations may collide
             removed = CTable("delta", affected.cache.arity, removed_rows)
             on = expr.on if isinstance(expr, Join) else ()
             # The sibling's cache is unchanged by this update (its walk

@@ -97,7 +97,14 @@ def empty_registry() -> dict:
 
 
 def load_registry(db_path: str) -> dict:
-    """The sidecar registry for a database file (empty when absent)."""
+    """The sidecar registry for a database file (empty when absent).
+
+    Checks the shape every reader relies on: a ``view-registry`` object
+    whose ``views`` maps each name to an object with a non-empty string
+    ``query``.  Anything else raises :class:`RegistryFormatError` naming
+    the file (and the view).  The stored ``table`` is left to its
+    readers, which treat a mangled one as missing.
+    """
     path = registry_path(db_path)
     if not os.path.exists(path):
         return empty_registry()
@@ -110,8 +117,21 @@ def load_registry(db_path: str) -> dict:
         ) from exc
     except ValueError as exc:
         raise RegistryFormatError(f"{path}: malformed registry: {exc}") from exc
-    if data.get("kind") != REGISTRY_KIND or not isinstance(data.get("views"), dict):
+    if (
+        not isinstance(data, dict)
+        or data.get("kind") != REGISTRY_KIND
+        or not isinstance(data.get("views"), dict)
+    ):
         raise RegistryFormatError(f"{path}: not a view registry")
+    for name, entry in data["views"].items():
+        if not isinstance(entry, dict):
+            raise RegistryFormatError(f"{path}: view {name!r} is not a JSON object")
+        query = entry.get("query")
+        if not isinstance(query, str) or not query.strip():
+            raise RegistryFormatError(
+                f"{path}: view {name!r} has no stored query (registry edited "
+                "by hand?); repro view drop it"
+            )
     return data
 
 
@@ -164,7 +184,9 @@ def manager_from_registry(
 
     Every stored view is re-defined (and so re-materialized) over
     ``db``; the stored tables are *not* trusted blindly, which is what
-    keeps a hand-edited sidecar from poisoning a server session.
+    keeps a hand-edited sidecar from poisoning a server session.  The
+    registry's shape is :func:`load_registry`'s (or
+    :func:`manager_to_registry`'s) to guarantee.
 
     ``digest`` is the current digest of the database source; when given,
     stored views stamped with a different digest are handled per
@@ -194,11 +216,5 @@ def manager_from_registry(
     for name, entry in sorted(views.items()):
         if name in stale and on_stale == "skip":
             continue
-        query_text = entry.get("query")
-        if not query_text:
-            raise RegistryFormatError(
-                f"view {name!r} has no stored query (registry edited by "
-                "hand?); repro view drop it"
-            )
-        manager.define_text(name, query_text)
+        manager.define_text(name, entry["query"])
     return manager, stale

@@ -11,22 +11,29 @@ naive path keeps), so worlds are compared after ``strong_canonicalize``
 — the randomized harness below holds the two to identical canonical
 world sets across 100+ randomized update sequences, including
 condition-bearing (variable/wild) deltas, difference-fallback paths and
-targeted delete recomputation.
+targeted delete recomputation; the null-bearing star streams also hold
+every node's bookkeeping (its seen-set and term counts) equal to its
+cache after each update.
 
 Unit tests pin the maintenance mechanics: delta vs recompute paths,
 dependency tracking, subplan sharing across views, the pinned-variable
 hash partitioning in ``join_ct``, the updates-module notification audit
 (fresh statistics + view notification on every mutation path, including
 failure atomicity), the ``update_stream`` generator, and the
-``repro view`` / ``repro eval --use-views`` CLI surface.
+``repro view`` / ``repro eval --use-views`` CLI surface, including
+sidecars of the wrong shape.
 """
 
 from __future__ import annotations
 
+import json
 import random
+
+from collections import Counter
 
 import pytest
 
+from repro.core.conditions import Conjunction, Neq
 from repro.core.tables import CTable, Row, TableDatabase, c_table, codd_table
 from repro.core.terms import Constant, Variable
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
@@ -125,6 +132,43 @@ class TestRandomizedMaintenance:
             assert set(manager.get("V").rows) == set(
                 evaluate_ct(expr, db, name="V").rows
             )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_null_bearing_star_stream(self, seed):
+        # The views_churn shape, small: F gets two rows with a null and
+        # two with a local null != constant condition, so deletes either
+        # drop ground rows (removal deltas through the joins) or rewrite
+        # a null row's condition (targeted recompute).  After every update
+        # each node's bookkeeping must mirror its cache exactly: the
+        # removal guard reads the term counts.
+        rng = random.Random(0x5EED + seed)
+        db = star_join_database(rng, num_dims=3, dim_rows=4, fact_rows=12)
+        nulls = [Variable("n0"), Variable("n1")]
+        rows = list(db["F"].rows)
+        picked = rng.sample(range(len(rows)), 4)
+        for i in picked[:2]:
+            terms = list(rows[i].terms)
+            terms[rng.randrange(3)] = rng.choice(nulls)
+            rows[i] = Row(terms)
+        for i in picked[2:]:
+            condition = Neq(rng.choice(nulls), rng.choice(rows[i].terms))
+            rows[i] = Row(rows[i].terms, Conjunction([condition]))
+        db = db.replacing(CTable("F", 3, rows))
+        expr = star_join_expression(3)
+        manager = ViewManager(db)
+        manager.define("V", expr)
+        for op in update_stream(rng, db, 10, 0.4, 0.4, 0.2, relations=["F"]):
+            db = apply_update(db, op, views=manager)
+            assert_view_matches(manager, "V", expr, db)
+            for node in manager._nodes.values():
+                assert node.seen == set(node.cache.rows)
+                # Plain dict equality: a zero entry left behind fails it.
+                assert dict(node.counts) == dict(
+                    Counter(row.terms for row in node.cache.rows)
+                )
+        # Every seed's stream reaches the removal path, not only the
+        # recompute fallback.
+        assert manager.counters["removed_rows"] > 0
 
     def test_condition_bearing_deltas(self):
         # Inserts joining against variable/wild rows produce delta rows
@@ -290,6 +334,48 @@ class TestDeltaVsRecompute:
         assert set(manager.get("V").rows) == set(
             evaluate_ct(expr, db, name="V").rows
         )
+
+    def test_ground_delete_on_a_conditioned_table_takes_the_removal_path(self):
+        # One F row holds a null and another a local condition.  The join
+        # guard reads exact term counts, so a ground delete and a modify
+        # still maintain every node by delta.
+        db, expr = _star()
+        facts = [tuple(term.value for term in row.terms) for row in db["F"].rows]
+        null_row, conditioned = ("?n",) + facts[0][1:], facts[1]
+        fact_table = c_table(
+            "F", 3, [(null_row,), (conditioned, "n != 0")] + facts[2:]
+        )
+        db = db.replacing(fact_table)
+        manager = ViewManager(db)
+        manager.define("V", expr)
+        # Neither fact unifies with the null row: both updates only drop rows.
+        old, gone = [f for f in facts[2:] if f[1:] != null_row[1:]][:2]
+        db = delete_fact(db, "F", gone, views=manager)
+        assert manager.counters["removed_rows"] > 0
+        assert manager.counters["recomputed_nodes"] == 0
+        assert_view_matches(manager, "V", expr, db)
+        db = modify_fact(db, "F", old, (4, 4, 4), views=manager)
+        assert manager.counters["recomputed_nodes"] == 0
+        assert_view_matches(manager, "V", expr, db)
+
+    def test_join_guard_refuses_when_removed_terms_survive(self):
+        # The union keeps a row with the removed row's terms but another
+        # condition, so the product output (1, 5) if (x != 1 & y != 2) is
+        # derived from both: subtracting the removed row's outputs would
+        # lose it.  The guard sees the surviving count and recomputes.
+        db = TableDatabase(
+            [
+                c_table("A", 1, [((1,), "x != 1")]),
+                c_table("B", 1, [((1,), "x != 1 & y != 2"), (3,)]),
+                c_table("S", 1, [((5,), "y != 2"), (5,)]),
+            ]
+        )
+        expr = Product(Union(Scan("A", 1), Scan("B", 1)), Scan("S", 1))
+        manager = ViewManager(db)
+        manager.define("V", expr)
+        db = delete_fact(db, "A", (1,), views=manager)
+        assert manager.counters["recomputed_nodes"] == 1
+        assert set(manager.get("V").rows) == set(evaluate_ct(expr, db).rows)
 
     def test_null_unifying_delete_recomputes_only_the_affected_subtree(self):
         # A delete unifying with a variable row rewrites its condition:
@@ -791,3 +877,62 @@ class TestViewCli:
     def test_refresh_unknown_name(self, view_db_file, capsys):
         assert self._main("view", "define", view_db_file, QUERY) == 0
         assert self._main("view", "refresh", view_db_file, "W") == 1
+
+
+#: Sidecars that parse as JSON but are not view registries.
+WRONG_SHAPES = {
+    "top-level-list": [],
+    "entry-not-object": {"kind": "view-registry", "views": {"V": "oops"}},
+    "query-not-string": {"kind": "view-registry", "views": {"V": {"query": 5}}},
+}
+
+
+class TestWrongShapeSidecar:
+    """A sidecar of the wrong shape ends in the defined registry error on
+    every reader: exit 2 naming the sidecar on the CLI, ``SessionError``
+    when a server opens the database."""
+
+    @staticmethod
+    def _write(view_db_file, shape):
+        with open(view_db_file + ".views.json", "w", encoding="utf-8") as fp:
+            json.dump(WRONG_SHAPES[shape], fp)
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_view_list(self, view_db_file, shape, capsys):
+        from repro.cli import main
+
+        self._write(view_db_file, shape)
+        assert main(["view", "list", view_db_file]) == 2
+        assert f"{view_db_file}.views.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_eval_use_views(self, view_db_file, shape, capsys):
+        from repro.cli import main
+
+        self._write(view_db_file, shape)
+        assert main(["eval", view_db_file, QUERY, "--use-views"]) == 2
+        assert f"{view_db_file}.views.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_open_file(self, view_db_file, shape):
+        from repro.server import SessionError, SessionRegistry
+
+        self._write(view_db_file, shape)
+        with pytest.raises(SessionError, match="views.json"):
+            SessionRegistry().open_file("g", view_db_file)
+
+    def test_mangled_table_is_skipped_not_fatal(self, view_db_file, capsys):
+        from repro.cli import main
+
+        assert main(["view", "define", view_db_file, QUERY]) == 0
+        path = view_db_file + ".views.json"
+        with open(path, encoding="utf-8") as fp:
+            registry = json.load(fp)
+        registry["views"]["V"]["table"] = {"kind": "ctable", "rows": 5}
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(registry, fp)
+        capsys.readouterr()
+        assert main(["view", "list", view_db_file]) == 0
+        assert "V/?: ? rows" in capsys.readouterr().out
+        assert main(["eval", view_db_file, QUERY, "--use-views", "--explain"]) == 0
+        assert "no registered view matches" in capsys.readouterr().out
