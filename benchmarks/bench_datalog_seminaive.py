@@ -88,7 +88,7 @@ def run_scratch(layers, width, floor, seed) -> int:
     )
     print(
         f"{'semi-naive':>16}: {semi_time * 1e3:>9.1f}ms  "
-        f"({len(semi['TC'])} rows, {len(evaluation.trace)} rounds)  "
+        f"({len(semi['TC'])} rows, {evaluation.rounds} rounds)  "
         f"({speedup:.1f}x)"
     )
     if _terms(semi, "TC") != _terms(naive, "TC"):

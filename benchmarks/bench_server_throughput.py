@@ -410,7 +410,7 @@ def run_multiprocess(
         t.join()
     aggregate = sum(counts) / seconds
     pool_stats = dispatcher.pool.stats()
-    latency = dispatcher.latency.summary()
+    latency = dispatcher.stats()["latency"]
     inline_fallbacks = dispatcher.counters["inline_answers"]
     dispatcher.close()
 

@@ -54,8 +54,8 @@ from .core.containment import contains
 from .core.membership import is_member
 from .core.possibility import is_possible
 from .core.certainty import is_certain
-from .core.tables import TableDatabase
 from .core.worlds import iter_worlds
+from .io.files import DatabaseFileError, load_database_file
 from .io.jsonio import (
     database_from_json,
     database_to_json,
@@ -91,18 +91,6 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def load_database_file(path: str) -> TableDatabase:
-    """Load a database from text or JSON notation (auto-detected)."""
-    text = _read_text(path)
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("{"):
-            return database_from_json(json.loads(text))
-        return loads_database(text)
-    except (TextFormatError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def load_instance_file(path: str) -> Instance:
     """Load an instance from text or JSON notation (auto-detected)."""
     text = _read_text(path)
@@ -121,7 +109,7 @@ def load_instance_file(path: str) -> Instance:
 
 
 def _cmd_show(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     for i, table in enumerate(db):
         if i:
             print()
@@ -134,7 +122,7 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     for table in db:
         print(f"{table.name}: {table.classify()}")
     print(f"database: {db.classify()}")
@@ -142,7 +130,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_worlds(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     shown = 0
     truncated = False
     for world in iter_worlds(db):
@@ -162,7 +150,7 @@ def _cmd_worlds(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     instance = load_instance_file(args.instance)
     verdict = is_member(instance, db)
     print("member" if verdict else "not a member")
@@ -170,7 +158,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_possible(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     facts = load_instance_file(args.facts)
     verdict = is_possible(facts, db)
     print("possible" if verdict else "impossible")
@@ -178,7 +166,7 @@ def _cmd_possible(args) -> int:
 
 
 def _cmd_certain(args) -> int:
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     facts = load_instance_file(args.facts)
     verdict = is_certain(facts, db)
     print("certain" if verdict else "not certain")
@@ -186,8 +174,8 @@ def _cmd_certain(args) -> int:
 
 
 def _cmd_contains(args) -> int:
-    sub = load_database_file(args.subset)
-    sup = load_database_file(args.superset)
+    sub = load_database_file(args.subset)[0]
+    sup = load_database_file(args.superset)[0]
     verdict = contains(sub, sup)
     print("contained" if verdict else "not contained")
     return EXIT_YES if verdict else EXIT_NO
@@ -308,7 +296,7 @@ def _cmd_view_define(args) -> int:
         raise CliError(f"view {name!r} is already defined (repro view drop it first)")
     from .views import ViewManager
 
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     table = _materialize_view(ViewManager(db), name, query_text)
     registry["views"][name] = {
         "query": query_text,
@@ -353,7 +341,7 @@ def _cmd_view_refresh(args) -> int:
         return EXIT_NO
     from .views import ViewManager
 
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     digest = _db_digest(args.database)
     names = [args.name] if args.name is not None else sorted(views)
     # One manager for the whole refresh: statistics are collected once
@@ -463,7 +451,7 @@ def _cmd_eval(args) -> int:
     from .queries.prepared import QueryError, execute, prepare
     from .relational.stats import Statistics
 
-    db = load_database_file(args.database)
+    db = load_database_file(args.database)[0]
     for given, flag, why in (
         (args.explain, "--explain",
          "(nothing is planned); showing the compiled expression instead"),
@@ -740,7 +728,7 @@ def _run_client_action(client, args) -> int:
                 f"{entry['tables']} table(s), {entry['views']} view(s)"
             )
     elif action == "create":
-        db = load_database_file(args.path)
+        db = load_database_file(args.path)[0]
         created = client.create_database(args.name, database_to_json(db))
         print(f"created {created['name']} at version {created['version']}")
     elif action == "info":
@@ -1047,7 +1035,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, DatabaseFileError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

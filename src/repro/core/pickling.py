@@ -24,7 +24,7 @@ Two mechanisms cover it:
   ``__getstate__``/``__setstate__`` that collect every *set* slot across
   the MRO and restore them with ``object.__setattr__``, bypassing the
   guard exactly the way ``__init__`` does.  Unset slots (lazily
-  populated memos such as a table's content digest) are skipped on save
+  populated memos such as a table's statistics) are skipped on save
   and simply stay unset on load.  ``__init__`` is never re-run, so no
   validation is repeated.
 """

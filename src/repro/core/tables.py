@@ -24,6 +24,12 @@ requires the variable sets of the member tables to be pairwise disjoint and
 channels relationships through condition variables; we allow variables to be
 shared across tables directly (a strictly more convenient, semantically
 identical formulation: one valuation is applied to the whole vector).
+
+Tables and databases are immutable values.  An update builds a new
+version with :meth:`TableDatabase.replacing`, which shares every
+untouched table by identity, so "did this table change?" is an identity
+test: the serving layer's worker pool ships exactly the tables that are
+not the objects a worker already holds.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class Row:
 class CTable:
     """A conditioned table: rows, local conditions and a global condition."""
 
-    __slots__ = ("name", "arity", "rows", "global_condition", "_digest", "_stats")
+    __slots__ = ("name", "arity", "rows", "global_condition", "_stats")
 
     def __init__(
         self,
@@ -263,34 +269,10 @@ class CTable:
     def with_global_condition(self, condition: Conjunction) -> "CTable":
         return CTable(self.name, self.arity, self.rows, condition)
 
-    def digest(self) -> str:
-        """A stable content digest of this table (sha256 hex), memoised.
-
-        Computed over the canonical JSON encoding, like
-        :meth:`TableDatabase.digest` but per table — the unit of change
-        detection for structural-sharing deltas: two versions of a
-        database share a table exactly when the digests agree.  The
-        memo lives in a lazily-set slot, so immutability is preserved
-        and the cost is paid once per table object.
-        """
-        try:
-            return self._digest
-        except AttributeError:
-            pass
-        import hashlib
-        import json
-
-        from ..io.jsonio import table_to_json
-
-        payload = json.dumps(table_to_json(self), sort_keys=True, separators=(",", ":"))
-        value = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        object.__setattr__(self, "_digest", value)
-        return value
-
     def stats(self):
         """This table's planner statistics
         (:class:`~repro.relational.stats.TableStats`, default histogram
-        shape), memoised like :meth:`digest`.
+        shape), memoised in a lazily set slot.
 
         A table is a value, so its statistics never go stale: an update
         builds a new table with an empty memo, and
@@ -485,7 +467,8 @@ class TableDatabase:
         of tables), not O(total rows).  Both versions are immutable and
         stay valid forever — a reader holding the old database never
         observes the change.  Each replacement must name an existing
-        member table.
+        member table.  The worker pool relies on the sharing: it ships
+        only the tables that are not the objects a worker holds.
         """
         replacements = {t.name: t for t in tables}
         unknown = [name for name in replacements if name not in self._tables]
@@ -498,58 +481,6 @@ class TableDatabase:
         object.__setattr__(out, "_tables", merged)
         object.__setattr__(out, "_extra_condition", self._extra_condition)
         return out
-
-    def digest(self) -> str:
-        """A stable content digest of this database (sha256 hex).
-
-        Computed over the canonical JSON encoding, so two databases with
-        equal tables, row order and conditions share a digest across
-        processes and runs — the serving layer and the view sidecar
-        registry use it to detect divergence between an in-memory
-        database and its on-disk source.
-        """
-        import hashlib
-        import json
-
-        from ..io.jsonio import database_to_json
-
-        payload = json.dumps(database_to_json(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def table_digests(self) -> dict[str, str]:
-        """Per-table content digests, keyed by table name."""
-        return {name: table.digest() for name, table in self._tables.items()}
-
-    def delta_from(self, previous: "TableDatabase") -> "tuple[CTable, ...] | None":
-        """The member tables of this database that differ from ``previous``.
-
-        The structural-sharing delta the worker pool ships instead of a
-        whole database: ``previous.replacing(*delta)`` reconstructs this
-        database (up to the memo slots).  Detection is two-tier — object
-        identity first (``replacing`` shares unchanged tables, so
-        consecutive versions resolve in O(number of tables) with no
-        hashing), then per-table :meth:`CTable.digest` for tables that
-        were rebuilt without changing.
-
-        Returns ``None`` when no delta exists — the table-name sets or
-        the extra database-level conditions differ — in which case the
-        caller must ship the full database.
-        """
-        if previous is self:
-            return ()
-        if self._tables.keys() != previous._tables.keys():
-            return None
-        if self._extra_condition != previous._extra_condition:
-            return None
-        changed = []
-        for name, table in self._tables.items():
-            old = previous._tables[name]
-            if table is old:
-                continue
-            if table.digest() == old.digest():
-                continue
-            changed.append(table)
-        return tuple(changed)
 
     # -- classification -----------------------------------------------------------------
 

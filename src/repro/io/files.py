@@ -1,4 +1,10 @@
-"""Crash-safe file writing shared by every persistence path.
+"""Database files: the one loader, and crash-safe writing.
+
+:func:`load_database_file` reads a database in either notation (JSON is
+detected by its leading ``{``) for every front end — the CLI and
+``repro serve`` — and reports every failure as a
+:class:`DatabaseFileError` whose message names the file; each front end
+maps it to its own error type.
 
 A bare ``open(path, "w")`` + write is not durable: a crash (or an
 exception raised mid-serialization, e.g. ``json.dump`` hitting an
@@ -17,10 +23,40 @@ file, never a prefix.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
-__all__ = ["atomic_write_text"]
+from ..core.tables import TableDatabase
+from .jsonio import database_from_json
+from .text import TextFormatError, loads_database
+
+__all__ = ["DatabaseFileError", "atomic_write_text", "load_database_file"]
+
+
+class DatabaseFileError(ValueError):
+    """A database file that cannot be read or parsed."""
+
+
+def load_database_file(path: str) -> "tuple[TableDatabase, str]":
+    """Load a database file (text or JSON, auto-detected).
+
+    Returns ``(database, notation)`` with notation ``"text"`` or
+    ``"json"``, so a session can persist back in the notation it was
+    loaded from.  Raises :class:`DatabaseFileError` with ``cannot read
+    PATH: ...`` or ``PATH: ...``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fp:
+            text = fp.read()
+    except OSError as exc:
+        raise DatabaseFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        if text.lstrip().startswith("{"):
+            return database_from_json(json.loads(text)), "json"
+        return loads_database(text), "text"
+    except (TextFormatError, ValueError) as exc:
+        raise DatabaseFileError(f"{path}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:

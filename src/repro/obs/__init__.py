@@ -1,10 +1,11 @@
-"""Unified observability: metrics registry, structured tracing, EXPLAIN ANALYZE.
+"""Unified observability: metric families, structured tracing, EXPLAIN ANALYZE.
 
 Three small, dependency-free submodules (see each for the design):
 
-* :mod:`repro.obs.metrics` — thread-safe counters, gauges, bounded
-  histograms with nearest-rank quantiles, and a registry rendering the
-  Prometheus text format for the server's ``/metrics`` endpoint;
+* :mod:`repro.obs.metrics` — metric families and their Prometheus text
+  rendering (the server builds ``/metrics`` from them in one function,
+  :func:`repro.server.observe.render_metrics`), a bounded histogram
+  with nearest-rank quantiles and a thread-safe counter dict;
 * :mod:`repro.obs.tracing` — a contextvar-scoped :class:`Trace` of
   :class:`Span` records with a wire-safe trace id, plus the slow-query
   log; near-zero cost when no trace is active;
@@ -14,12 +15,9 @@ Three small, dependency-free submodules (see each for the design):
 """
 
 from .metrics import (
-    Counter,
     CounterGroup,
-    Gauge,
     Histogram,
     MetricFamily,
-    MetricsRegistry,
     counter_family,
     gauge_family,
     render_families,
@@ -38,12 +36,9 @@ from .tracing import (
 from .analyze import NodeAnalysis, PlanAnalysis, node_label, render_analysis
 
 __all__ = [
-    "Counter",
     "CounterGroup",
-    "Gauge",
     "Histogram",
     "MetricFamily",
-    "MetricsRegistry",
     "NodeAnalysis",
     "PlanAnalysis",
     "SlowQueryLog",

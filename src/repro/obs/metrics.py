@@ -1,23 +1,17 @@
-"""A thread-safe metrics registry with Prometheus text exposition.
+"""Prometheus text exposition plus the two instruments the serving layer bumps.
 
-The serving layer grew three disconnected telemetry dicts (dispatcher
-counters, view-maintenance counters, statistics-store collection
-passes) plus one ad-hoc latency tracker.  This module is the one place
-they all register into:
-
-* :class:`Counter` / :class:`Gauge` — single scalar instruments;
-* :class:`Histogram` — a bounded rolling window with nearest-rank
-  quantile readout (the generalization of the server's old
-  ``LatencyTracker``, which is now a thin subclass);
-* :class:`CounterGroup` — a thread-safe ``dict`` subclass for the
-  existing named-counter bundles (``QueryDispatcher.counters``,
-  ``WorkerPool.counters``, ``ViewManager.counters``), so every caller
-  that reads them as plain dicts keeps working while writers get an
-  atomic :meth:`~CounterGroup.bump`;
-* :class:`MetricsRegistry` — owns instruments and *collector*
-  callbacks (functions returning :class:`MetricFamily` lists read from
-  live objects at scrape time) and renders everything in the
-  Prometheus text exposition format for ``GET /metrics``.
+* :class:`MetricFamily` is one named metric with its samples, what a
+  scrape of ``GET /metrics`` collects; :func:`counter_family` and
+  :func:`gauge_family` build the common shapes, and
+  :func:`render_families` renders a list of them in the Prometheus text
+  exposition format.  The server's one place that builds the families
+  from live objects is :func:`repro.server.observe.render_metrics`.
+* :class:`Histogram` is a bounded rolling window with nearest-rank
+  quantiles (the dispatcher's request latency).
+* :class:`CounterGroup` is a thread-safe ``dict`` of named counters
+  (``QueryDispatcher.counters``, ``WorkerPool.counters``,
+  ``ViewManager.counters``): readers index it like a plain dict, writers
+  get an atomic :meth:`~CounterGroup.bump`.
 
 Instruments are cheap on the hot path: a counter bump is one lock
 acquisition and an integer add; rendering cost is paid only by the
@@ -32,22 +26,18 @@ import re
 import threading
 
 from collections import deque
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "Counter",
     "CounterGroup",
-    "Gauge",
     "Histogram",
     "MetricFamily",
-    "MetricsRegistry",
     "counter_family",
     "gauge_family",
     "render_families",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: The metric kinds the renderer understands (Prometheus TYPE values).
 _KINDS = frozenset({"counter", "gauge", "summary", "untyped"})
@@ -121,16 +111,13 @@ class MetricFamily:
 
 
 def counter_family(
-    name: str, help: str, values: Mapping[str, float], label: str = "key",
-    extra: "Mapping[str, str] | None" = None,
+    name: str, help: str, values: Mapping[str, float], label: str = "key"
 ) -> MetricFamily:
     """A counter family from a named-counter dict: one sample per key,
-    keyed by the ``label`` label (plus any fixed ``extra`` labels)."""
+    keyed by the ``label`` label."""
     family = MetricFamily(name, "counter", help)
     for key in sorted(values):
-        labels = dict(extra or ())
-        labels[label] = str(key)
-        family.add(labels, values[key])
+        family.add({label: str(key)}, values[key])
     return family
 
 
@@ -148,8 +135,7 @@ def render_families(families: Iterable[MetricFamily]) -> str:
     for family in families:
         if family.help:
             lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-        kind = family.kind if family.kind != "untyped" else "untyped"
-        lines.append(f"# TYPE {family.name} {kind}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
         for sample in family.samples:
             labels, value = sample[0], sample[1]
             suffix = sample[2] if len(sample) > 2 else ""
@@ -169,68 +155,6 @@ def render_families(families: Iterable[MetricFamily]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class Counter:
-    """A monotonically increasing scalar."""
-
-    __slots__ = ("name", "help", "_lock", "_value")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = _check_name(name)
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def collect(self) -> MetricFamily:
-        return MetricFamily(self.name, "counter", self.help, [({}, self.value)])
-
-
-class Gauge:
-    """A scalar that can go up and down, or a callback read at scrape time."""
-
-    __slots__ = ("name", "help", "_lock", "_value", "_fn")
-
-    def __init__(
-        self, name: str, help: str = "", fn: "Callable[[], float] | None" = None
-    ) -> None:
-        self.name = _check_name(name)
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        with self._lock:
-            return self._value
-
-    def collect(self) -> MetricFamily:
-        return MetricFamily(self.name, "gauge", self.help, [({}, self.value)])
-
-
 class Histogram:
     """Rolling-window quantiles over recorded samples (nearest-rank).
 
@@ -239,8 +163,7 @@ class Histogram:
     the current regime, bounded so a long-lived process never
     accumulates unbounded samples.
 
-    Quantile semantics (the edge cases the old ``LatencyTracker`` was
-    never directly tested on):
+    Quantile semantics:
 
     * an **empty** window yields ``0.0`` for every quantile;
     * a **single** sample is every quantile;
@@ -267,15 +190,6 @@ class Histogram:
             self.count += 1
             self._total += value
 
-    #: Prometheus naming for the same operation.
-    observe = record
-
-    @property
-    def window(self) -> int:
-        """How many samples the window currently holds."""
-        with self._lock:
-            return len(self._samples)
-
     @staticmethod
     def _rank(samples: Sequence[float], fraction: float) -> float:
         if not samples:
@@ -289,9 +203,6 @@ class Histogram:
         with self._lock:
             samples = sorted(self._samples)
         return self._rank(samples, fraction)
-
-    #: Historical name, kept for the serving layer.
-    percentile = quantile
 
     def summary(self) -> dict:
         """Count, window size, lifetime mean and window p50/p99."""
@@ -326,12 +237,9 @@ class Histogram:
 class CounterGroup(dict):
     """A thread-safe bundle of named counters that still *is* a dict.
 
-    The serving and view layers historically kept plain ``counters``
-    dicts mutated under a private lock; tests and ``/stats`` read them
-    with ``dict(x.counters)`` and plain indexing.  ``CounterGroup``
-    keeps that surface (it subclasses ``dict``) while providing an
-    atomic :meth:`bump` and a consistent :meth:`snapshot`, so the same
-    object can feed the metrics registry without a wrapper.
+    Tests and ``/stats`` read it with ``dict(x.counters)`` and plain
+    indexing; writers get an atomic :meth:`bump`, and :meth:`snapshot`
+    is the consistent copy ``/stats`` and ``/metrics`` read.
 
     Direct item assignment is still possible (the view manager bumps
     under its own maintenance lock); ``bump`` is for writers with no
@@ -349,77 +257,3 @@ class CounterGroup(dict):
     def snapshot(self) -> dict:
         with self._lock:
             return dict(self)
-
-
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-
-class MetricsRegistry:
-    """Instruments plus scrape-time collector callbacks.
-
-    Two registration styles:
-
-    * :meth:`counter` / :meth:`gauge` / :meth:`histogram` create and own
-      an instrument (duplicate names are an error);
-    * :meth:`register_collector` adds a zero-argument callable returning
-      :class:`MetricFamily` objects, invoked on every :meth:`collect` —
-      the way to expose live objects (sessions, caches, pools) without
-      copying their state on every update.
-
-    ``collect`` and ``render_prometheus`` never raise because one
-    collector failed: a failing collector contributes an error gauge
-    instead, so a half-broken server still serves the rest of its
-    metrics.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._instruments: dict[str, object] = {}
-        self._collectors: list[Callable[[], Iterable[MetricFamily]]] = []
-
-    def _register(self, instrument):
-        with self._lock:
-            if instrument.name in self._instruments:
-                raise ValueError(f"metric {instrument.name!r} already registered")
-            self._instruments[instrument.name] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._register(Counter(name, help))
-
-    def gauge(self, name: str, help: str = "", fn=None) -> Gauge:
-        return self._register(Gauge(name, help, fn=fn))
-
-    def histogram(self, name: str, help: str = "", window: int = 2048) -> Histogram:
-        return self._register(Histogram(window=window, name=name, help=help))
-
-    def register_collector(self, fn: Callable[[], Iterable[MetricFamily]]) -> None:
-        with self._lock:
-            self._collectors.append(fn)
-
-    def collect(self) -> list[MetricFamily]:
-        with self._lock:
-            instruments = list(self._instruments.values())
-            collectors = list(self._collectors)
-        families = [instrument.collect() for instrument in instruments]
-        errors = 0
-        for fn in collectors:
-            try:
-                families.extend(fn())
-            except Exception:  # noqa: BLE001 - a broken collector must not kill a scrape
-                errors += 1
-        if errors:
-            families.append(
-                MetricFamily(
-                    "repro_metrics_collector_errors",
-                    "gauge",
-                    "Collector callbacks that raised during this scrape.",
-                    [({}, errors)],
-                )
-            )
-        return families
-
-    def render_prometheus(self) -> str:
-        return render_families(self.collect())

@@ -14,10 +14,10 @@ at all; spans mark phases (compile, evaluate, fixpoint rounds) and, in
 EXPLAIN ANALYZE mode only, per-operator executions.
 
 The trace id crosses process boundaries as plain text: the
-``X-Repro-Trace-Id`` HTTP header (:data:`TRACE_HEADER`), the worker
-pool's wire options, and ``QueryResult.trace_id``.  Ids from the
-outside are sanitized (:func:`sanitize_trace_id`) so an arbitrary
-header can never corrupt a log line or a metrics label.
+``X-Repro-Trace-Id`` HTTP header (:data:`TRACE_HEADER`), the query
+response's ``trace_id`` field and the worker pool's wire options.  Ids
+from the outside are sanitized (:func:`sanitize_trace_id`) so an
+arbitrary header can never corrupt a log line or a metrics label.
 
 :class:`SlowQueryLog` lives here too: a bounded log of requests over a
 latency threshold, each entry stamped with the trace id that ties it
@@ -298,10 +298,6 @@ class SlowQueryLog:
         except Exception:  # noqa: BLE001 - logging must never break serving
             pass
         return True
-
-    def entries(self) -> list[dict]:
-        with self._lock:
-            return [dict(entry) for entry in self._entries]
 
     def stats(self) -> dict:
         """The ``/stats`` payload section for the slow-query log."""

@@ -350,11 +350,9 @@ class FixpointEvaluation:
         self.query = query
         self.db = db
         self.rounds = 0
-        self.trace: list[str] = []
-        #: Structured counterpart of ``trace``: one dict per round with
-        #: ``round`` (1-based), ``deltas`` (predicate -> delta row count)
-        #: and ``ms`` wall time — what ``--explain-json`` and the
-        #: server's analyze flag ship instead of scraping the strings.
+        #: One dict per round: ``round`` (1-based), ``deltas`` (predicate
+        #: -> delta row count) and ``ms`` wall time.  The explain lines,
+        #: ``--explain-json`` and the server's analyze flag all read it.
         self.round_stats: list[dict] = []
         self.facts: dict[str, _FactSet] = {pred: _FactSet() for pred in query.idb}
         self._nodes: dict[str, _Node] = {}
@@ -430,10 +428,6 @@ class FixpointEvaluation:
             delta_sizes = {
                 name: len(rows) for name, rows in sorted(pending.items())
             }
-            self.trace.append(
-                f"round {self.rounds}: "
-                + ", ".join(f"d{name}={size}" for name, size in delta_sizes.items())
-            )
             round_start = perf_counter()
             produced: dict[str, list[Row]] = {}
             self._epoch += 1

@@ -186,5 +186,9 @@ def _execute_program(program, db, naive, explain, analyze) -> Execution:
             "total_ms": round(sum(r["ms"] for r in rounds), 3),
         }
     plans = tuple((head, root.expr) for head, root in evaluation.rule_roots)
-    trace = evaluation.trace if explain else None
-    return Execution(tuple(evaluation.database()), plans, trace, payload)
+    lines = [
+        f"round {entry['round']}: "
+        + ", ".join(f"d{name}={size}" for name, size in entry["deltas"].items())
+        for entry in evaluation.round_stats
+    ] if explain else None
+    return Execution(tuple(evaluation.database()), plans, lines, payload)

@@ -10,14 +10,17 @@ process with snapshot isolation:
   locks at all.  Every answer names the update-stream ``version`` it
   reflects.
 - :mod:`~repro.server.registry` — :class:`SessionRegistry`, the
-  thread-safe name → session mapping, plus file loading (text or JSON,
-  view sidecar included).
+  thread-safe name → session mapping; it opens database files (text or
+  JSON, view sidecar included).
 - :mod:`~repro.server.app` — the stdlib ``ThreadingHTTPServer``
   HTTP/JSON API behind ``repro serve``.
 - :mod:`~repro.server.pool` — :class:`QueryDispatcher` and its parts:
-  the multi-process read-worker pool (version-pinned snapshots shipped
-  as structural-sharing deltas), the ``(version, fingerprint)`` request
-  cache, and p50/p99 latency tracking behind ``/stats``.
+  the multi-process read-worker pool (version-pinned snapshots; only the
+  tables a worker does not hold are shipped), the ``(version,
+  fingerprint)`` request cache, and the request-latency histogram behind
+  ``/stats`` and ``/metrics``.
+- :mod:`~repro.server.observe` — :func:`render_metrics`, the
+  ``GET /metrics`` body.
 - :mod:`~repro.server.client` — :class:`ServerClient`, a
   ``urllib``-only client used by ``repro client``, the tests and the
   throughput benchmark.
@@ -25,13 +28,12 @@ process with snapshot isolation:
 
 from .app import ReproServer, make_server, run_server, start_in_thread
 from .client import ServerClient, ServerError
-from .pool import LatencyTracker, QueryDispatcher, RequestCache, WorkerPool
-from .registry import SessionRegistry, load_database_file
+from .pool import QueryDispatcher, RequestCache, WorkerPool
+from .registry import SessionRegistry
 from .session import DatabaseSession, QueryResult, SessionError, Snapshot
 
 __all__ = [
     "DatabaseSession",
-    "LatencyTracker",
     "QueryDispatcher",
     "QueryResult",
     "ReproServer",
@@ -42,7 +44,6 @@ __all__ = [
     "SessionError",
     "SessionRegistry",
     "Snapshot",
-    "load_database_file",
     "make_server",
     "run_server",
     "start_in_thread",

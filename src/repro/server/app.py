@@ -66,7 +66,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..io.jsonio import database_from_json, database_to_json, table_to_json
 from ..obs.tracing import TRACE_HEADER, new_trace_id, sanitize_trace_id
-from .observe import build_metrics_registry
+from .observe import render_metrics
 from .pool import DEFAULT_CACHE_SIZE, QueryDispatcher
 from .registry import SessionRegistry
 from .session import SessionError
@@ -237,7 +237,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(payload)
 
     def _get_metrics(self):
-        body = self.server.metrics.render_prometheus().encode("utf-8")
+        body = render_metrics(self.server).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -294,9 +294,8 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(value, bool):
                 raise _HttpError(400, f"query field {key!r} must be true or false")
         # The request's trace id: the client's (sanitized) header if it
-        # sent one, else freshly minted here.  A cache hit returns a
-        # QueryResult carrying the *original* evaluator's trace id; the
-        # response header/payload always name THIS request's id — the id
+        # sent one, else freshly minted here.  The response always names
+        # this id, whichever rung answered (a cache hit included): the id
         # the client can correlate with the slow-query log and spans.
         trace_id = sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
         result, served_by = self.server.dispatcher.query(
@@ -386,7 +385,6 @@ class ReproServer(ThreadingHTTPServer):
         self.registry = registry
         self.verbose = verbose
         self.dispatcher = dispatcher or QueryDispatcher()
-        self.metrics = build_metrics_registry(self)
 
     def server_close(self) -> None:
         super().server_close()

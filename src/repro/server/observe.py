@@ -1,26 +1,23 @@
-"""Wiring the serving layer into the metrics registry.
+"""``GET /metrics``: the server's telemetry in the Prometheus text format.
 
-:func:`build_metrics_registry` is the one place that knows which live
-objects back ``GET /metrics``: it registers a single collector that, at
-scrape time, walks the server's dispatcher (query counters, request
-cache, worker pool, latency window, slow-query log) and every registered
-database session (version, table/view counts, view-maintenance counters,
-statistics-store collection counts).  Nothing is copied per update — the
-instruments the hot path touches are the same ``CounterGroup``/``Histogram``
-objects the serving layer already bumps, and the registry only reads them
-when a scraper asks.
+:func:`render_metrics` is the one place that knows which live objects
+back the endpoint.  At scrape time it reads the server's dispatcher
+(query counters, request cache, worker pool, latency window, slow-query
+log) and every registered database session (version, table/view counts,
+view-maintenance counters, statistics-store collection counts).  Nothing
+is copied per update: the hot path bumps the serving layer's own
+``CounterGroup``/``Histogram`` objects, and only a scrape reads them.
 
 Per-database families carry a ``db`` label, per-counter families a
 ``key`` label; everything renders through
-:func:`repro.obs.metrics.render_families` in the Prometheus text
-exposition format.
+:func:`repro.obs.metrics.render_families`.
 """
 
 from __future__ import annotations
 
-from ..obs.metrics import MetricFamily, MetricsRegistry, counter_family, gauge_family
+from ..obs.metrics import MetricFamily, counter_family, gauge_family, render_families
 
-__all__ = ["build_metrics_registry"]
+__all__ = ["render_metrics"]
 
 
 def _dispatcher_families(dispatcher):
@@ -76,12 +73,12 @@ def _dispatcher_families(dispatcher):
             )
         )
     families.append(dispatcher.latency.collect())
-    slow = stats["slow_queries"]
     families.append(
-        gauge_family(
+        MetricFamily(
             "repro_slow_queries_total",
+            "counter",
             "Requests over the slow-query threshold since startup.",
-            [({}, slow["total"])],
+            [({}, stats["slow_queries"]["total"])],
         )
     )
     return families
@@ -129,19 +126,23 @@ def _session_families(registry):
     ]
 
 
-def build_metrics_registry(server) -> MetricsRegistry:
-    """The registry behind ``GET /metrics`` for one :class:`ReproServer`.
+def render_metrics(server) -> str:
+    """The ``GET /metrics`` body for one :class:`ReproServer`.
 
-    Everything is collector-based (read at scrape time from the live
-    dispatcher and sessions), so building the registry costs nothing on
-    the request path.
+    A scrape whose reading raises answers with the
+    ``repro_metrics_collector_errors`` gauge instead of failing, so a
+    half-broken server still answers its scraper.
     """
-    registry = MetricsRegistry()
-
-    def collect():
+    try:
         families = _dispatcher_families(server.dispatcher)
         families.extend(_session_families(server.registry))
-        return families
-
-    registry.register_collector(collect)
-    return registry
+    except Exception:  # noqa: BLE001 - a failing reader must not kill a scrape
+        families = [
+            MetricFamily(
+                "repro_metrics_collector_errors",
+                "gauge",
+                "1 when reading the server's live state raised during this scrape.",
+                [({}, 1)],
+            )
+        ]
+    return render_families(families)

@@ -1,4 +1,4 @@
-"""Multi-process read scaling: worker pool, request cache, latency tracking.
+"""Multi-process read scaling: worker pool, request cache, dispatcher.
 
 The GIL caps aggregate reader throughput at roughly the single-reader
 baseline for CPU-bound queries, no matter how many threads
@@ -8,22 +8,23 @@ immutable picklable value objects with structural sharing
 obvious fix cheap: evaluate queries in **worker processes**, each pinned
 to exactly the snapshot the dispatching thread read.
 
-Three cooperating pieces, composed by :class:`QueryDispatcher`:
+Two cooperating pieces and the dispatcher composing them:
 
 :class:`WorkerPool`
     ``multiprocessing`` reader processes connected by pipes.  Each
     worker keeps a per-database snapshot cache; the pool tracks what
-    each worker holds and ships **structural-sharing deltas** — only the
-    member tables whose :meth:`~repro.core.tables.CTable.digest` changed
-    (identity fast-path first, since ``replacing`` shares unchanged
-    tables) — instead of whole databases.  Each shipped table carries its
-    statistics memo (:meth:`~repro.core.tables.CTable.stats`) in its
-    pickle, so workers plan without collecting and nothing ships
-    statistics separately.  Workers use the ``spawn`` start method:
-    the pool lives inside a threaded HTTP server, and forking a threaded
-    process can clone held locks into the child (respawns happen
-    mid-serving); a clean interpreter per worker is slower to start but
-    cannot deadlock, and workers are long-lived.
+    each worker holds and ships only the member tables that are not the
+    objects the worker already holds (``replacing`` shares every
+    untouched table by identity), or the whole database on first
+    contact or when the table names or the extra condition differ.
+    Each shipped table carries its statistics memo
+    (:meth:`~repro.core.tables.CTable.stats`) in its pickle, so workers
+    plan without collecting and nothing ships statistics separately.
+    Workers use the ``spawn`` start method: the pool lives inside a
+    threaded HTTP server, and forking a threaded process can clone held
+    locks into the child (respawns happen mid-serving); a clean
+    interpreter per worker is slower to start but cannot deadlock, and
+    workers are long-lived.
 
 :class:`RequestCache`
     A bounded LRU of query results keyed by ``(session serial, version,
@@ -31,9 +32,11 @@ Three cooperating pieces, composed by :class:`QueryDispatcher`:
     so invalidation is free: a version bump simply stops producing the
     old key.  Hit/miss counters feed ``/stats``.
 
-:class:`LatencyTracker`
-    A rolling window of per-request latencies with nearest-rank
-    p50/p99 readout, surfaced in ``/stats`` and the serving benchmark.
+:class:`QueryDispatcher`
+    The read path composing them.  It records every request's latency
+    in one :class:`~repro.obs.metrics.Histogram`
+    (``repro_request_latency_seconds``), which ``/stats`` reads in
+    milliseconds and ``/metrics`` as a Prometheus summary.
 
 **Degradation ladder** (every rung answers at the version of the one
 snapshot the dispatch read, so the snapshot-isolation invariant survives
@@ -63,7 +66,6 @@ from ..queries.prepared import QueryError, execute, prepare
 from .session import DatabaseSession, QueryResult, SessionError, Snapshot
 
 __all__ = [
-    "LatencyTracker",
     "QueryDispatcher",
     "RequestCache",
     "WorkerPool",
@@ -72,8 +74,8 @@ __all__ = [
 #: Default request-cache capacity (entries, LRU-evicted).
 DEFAULT_CACHE_SIZE = 256
 
-#: Default seconds a dispatch waits for an idle worker / a worker reply
-#: before degrading to the in-process path.
+#: Seconds a dispatch waits for an idle worker / a worker reply before
+#: degrading to the in-process path.
 DEFAULT_POOL_TIMEOUT = 30.0
 
 
@@ -86,13 +88,11 @@ def _evaluate(db: TableDatabase, query_text: str, options: dict) -> tuple:
     """Worker-side evaluation: the in-process ``prepare`` and ``execute``
     on the query text (plans do not pickle; views are matched in the
     main process), planned from the shipped tables' statistics memos.
-    The dispatcher's trace id rides ``options["trace_id"]`` and is
-    echoed back in the ``"ok"`` reply — one id per request, across the
-    process boundary.
+    The dispatcher's trace id rides ``options["trace_id"]`` and names the
+    worker's trace — one id per request, across the process boundary.
     """
-    trace_id = options.get("trace_id")
     try:
-        with start_trace(name="worker", trace_id=trace_id):
+        with start_trace(name="worker", trace_id=options.get("trace_id")):
             prepared = prepare(query_text)
             execution = execute(
                 prepared, db,
@@ -100,7 +100,7 @@ def _evaluate(db: TableDatabase, query_text: str, options: dict) -> tuple:
             )
     except QueryError as exc:
         return ("err", "session", str(exc))
-    return ("ok", execution.table, execution.explain, trace_id)
+    return ("ok", execution.table, execution.explain)
 
 
 def _worker_main(conn) -> None:
@@ -151,7 +151,7 @@ class _WorkerSlot:
     """One worker process, its pipe, and what snapshots it holds.
 
     ``known`` maps database name → the exact :class:`TableDatabase`
-    object last shipped, the base the next structural-sharing delta is
+    object last shipped, the base the next changed-table delta is
     computed against.  A slot is owned by at most one dispatching
     thread at a time (ownership = holding it out of the idle queue), so
     ``known`` needs no lock.
@@ -243,19 +243,24 @@ class WorkerPool:
     def _payload(self, slot: _WorkerSlot, name: str, snapshot: Snapshot):
         """What to ship so the slot's worker holds ``snapshot.db``.
 
-        Identity match → nothing (the worker evaluates its cached
-        snapshot); otherwise the changed-table delta when one exists,
-        the full database when not (first contact, or incompatible
-        shapes).
+        Nothing when the worker holds this very database; otherwise the
+        tables that are not the objects the worker holds, or the full
+        database on first contact or when the table names or the extra
+        condition differ.  A table rebuilt without changing ships too.
         """
+        db = snapshot.db
         known = slot.known.get(name)
-        if known is not None:
-            if known is snapshot.db:
-                return ("cached",)
-            delta = snapshot.db.delta_from(known)
-            if delta is not None:
-                return ("delta", delta)
-        return ("full", snapshot.db)
+        if known is db:
+            return ("cached",)
+        if (
+            known is not None
+            and known.names() == db.names()
+            and known.extra_condition() == db.extra_condition()
+        ):
+            return ("delta", tuple(
+                table for table, old in zip(db.tables(), known.tables()) if table is not old
+            ))
+        return ("full", db)
 
     def query(
         self,
@@ -314,12 +319,7 @@ class WorkerPool:
                 self._idle.put(slot)
         if reply[0] == "ok":
             self._bump("dispatched")
-            return QueryResult(
-                reply[1],
-                snapshot.version,
-                explain=reply[2],
-                trace_id=reply[3] if len(reply) > 3 else None,
-            )
+            return QueryResult(reply[1], snapshot.version, explain=reply[2])
         if reply[1] == "session":
             self._bump("dispatched")
             raise SessionError(reply[2])
@@ -411,53 +411,12 @@ class RequestCache:
 
 
 # ---------------------------------------------------------------------------
-# Latency percentiles
-# ---------------------------------------------------------------------------
-
-
-class LatencyTracker(Histogram):
-    """Rolling-window latency percentiles (nearest-rank, inclusive).
-
-    Now a thin subclass of :class:`repro.obs.metrics.Histogram` — the
-    window/quantile mechanics (and their edge cases: empty window,
-    single sample, eviction at the window boundary, clamped fractions)
-    live there, shared with every other histogram in the registry.
-    ``record`` takes **seconds**; :meth:`summary` keeps the historical
-    millisecond-keyed shape that ``/stats`` and the serving benchmark
-    read, and :meth:`Histogram.collect` exposes the same window as a
-    Prometheus summary family for ``/metrics``.
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        super().__init__(
-            window=window,
-            name="repro_request_latency_seconds",
-            help="Per-request dispatch latency (rolling window).",
-        )
-
-    def summary(self) -> dict:
-        with self._lock:
-            samples = sorted(self._samples)
-            count = self.count
-            total = self._total
-        if not samples:
-            return {"count": 0, "window": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-        return {
-            "count": count,
-            "window": len(samples),
-            "mean_ms": total / count * 1e3,
-            "p50_ms": self._rank(samples, 0.50) * 1e3,
-            "p99_ms": self._rank(samples, 0.99) * 1e3,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Dispatcher: the serving layer's one read path
 # ---------------------------------------------------------------------------
 
 
 class QueryDispatcher:
-    """Cache + pool + latency tracking in front of ``DatabaseSession``s.
+    """Cache + pool + latency histogram in front of ``DatabaseSession``s.
 
     One dispatcher serves every database behind a server (cache keys
     carry the database name).  ``query`` walks the degradation ladder —
@@ -474,13 +433,14 @@ class QueryDispatcher:
         self,
         workers: int = 0,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        timeout: float = DEFAULT_POOL_TIMEOUT,
-        latency_window: int = 2048,
         slow_query_ms: "float | None" = None,
     ) -> None:
-        self.pool = WorkerPool(workers, timeout=timeout) if workers > 0 else None
+        self.pool = WorkerPool(workers) if workers > 0 else None
         self.cache = RequestCache(cache_size) if cache_size > 0 else None
-        self.latency = LatencyTracker(latency_window)
+        self.latency = Histogram(
+            name="repro_request_latency_seconds",
+            help="Per-request dispatch latency (rolling window).",
+        )
         self.slow_log = SlowQueryLog(slow_query_ms)
         self.counters = CounterGroup((
             "queries",
@@ -579,12 +539,20 @@ class QueryDispatcher:
         return result, served_by
 
     def stats(self) -> dict:
-        """The ``/stats`` payload: dispatch counters, cache, pool, latency."""
+        """The ``/stats`` payload: dispatch counters, cache, pool, latency
+        (the histogram's summary in milliseconds), slow-query log."""
+        latency = self.latency.summary()
         return {
             "queries": self.counters.snapshot(),
             "cache": self.cache.counters() if self.cache is not None else {"enabled": False},
             "pool": self.pool.stats() if self.pool is not None else {"enabled": False, "workers": 0},
-            "latency": self.latency.summary(),
+            "latency": {
+                "count": latency["count"],
+                "window": latency["window"],
+                "mean_ms": latency["mean"] * 1e3,
+                "p50_ms": latency["p50"] * 1e3,
+                "p99_ms": latency["p99"] * 1e3,
+            },
             "slow_queries": self.slow_log.stats(),
         }
 

@@ -12,34 +12,13 @@ programmatic :meth:`add` calls from embedding code.
 
 from __future__ import annotations
 
-import json
 import threading
 
 from ..core.tables import TableDatabase
-from ..io.jsonio import database_from_json
-from ..io.text import TextFormatError, loads_database
+from ..io.files import DatabaseFileError, load_database_file
 from .session import DatabaseSession, SessionError
 
-__all__ = ["SessionRegistry", "load_database_file"]
-
-
-def load_database_file(path: str) -> tuple[TableDatabase, str]:
-    """Load a database file (text or JSON, auto-detected).
-
-    Returns ``(database, format)`` with format ``"text"`` or ``"json"``
-    so a session can persist back in the notation it was loaded from.
-    """
-    try:
-        with open(path, encoding="utf-8") as fp:
-            text = fp.read()
-    except OSError as exc:
-        raise SessionError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        if text.lstrip().startswith("{"):
-            return database_from_json(json.loads(text)), "json"
-        return loads_database(text), "text"
-    except (TextFormatError, ValueError) as exc:
-        raise SessionError(f"{path}: {exc}") from exc
+__all__ = ["SessionRegistry"]
 
 
 class SessionRegistry:
@@ -96,11 +75,11 @@ class SessionRegistry:
         from ..views import ViewError
         from ..views.persist import file_digest, load_registry
 
-        db, source_format = load_database_file(path)
         try:
+            db, source_format = load_database_file(path)
             registry = load_registry(path)
             digest = file_digest(path) if registry["views"] else None
-        except ViewError as exc:
+        except (DatabaseFileError, ViewError) as exc:
             raise SessionError(str(exc)) from exc
         session = DatabaseSession(
             name, db, source_path=path, source_format=source_format

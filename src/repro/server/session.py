@@ -42,7 +42,6 @@ from typing import Sequence
 
 from ..core.tables import CTable, TableDatabase
 from ..extensions.updates import apply_update, check_update
-from ..obs.tracing import current_trace
 from ..queries.prepared import PreparedQuery, QueryError, execute, match_view, prepare
 from ..relational.stats import StatsStore
 from ..views import ViewManager
@@ -58,11 +57,6 @@ _SERIALS = itertools.count()
 
 class SessionError(ValueError):
     """A user-level session error: bad query, bad op, unknown view."""
-
-
-def _trace_id() -> "str | None":
-    trace = current_trace()
-    return trace.trace_id if trace is not None else None
 
 
 class Snapshot:
@@ -105,13 +99,11 @@ class QueryResult:
     """What one query evaluation returned: the result table, the version
     it was evaluated against, and how it was answered.
 
-    ``trace_id`` records the trace active when the result was evaluated
-    (``None`` for untraced library use); ``analyze`` carries the
-    JSON-ready EXPLAIN ANALYZE payload when the query ran with
-    per-operator instrumentation.
+    ``analyze`` carries the JSON-ready EXPLAIN ANALYZE payload when the
+    query ran with per-operator instrumentation.
     """
 
-    __slots__ = ("table", "version", "answered_by_view", "explain", "trace_id", "analyze")
+    __slots__ = ("table", "version", "answered_by_view", "explain", "analyze")
 
     def __init__(
         self,
@@ -119,14 +111,12 @@ class QueryResult:
         version,
         answered_by_view=None,
         explain=None,
-        trace_id=None,
         analyze=None,
     ) -> None:
         self.table = table
         self.version = version
         self.answered_by_view = answered_by_view
         self.explain = explain
-        self.trace_id = trace_id
         self.analyze = analyze
 
 
@@ -242,7 +232,7 @@ class DatabaseSession:
         hit = match_view(prepared, ((name, fp, table) for name, _q, fp, table in snap.views))
         if hit is None:
             return None
-        return QueryResult(hit[1], snap.version, answered_by_view=hit[0], trace_id=_trace_id())
+        return QueryResult(hit[1], snap.version, answered_by_view=hit[0])
 
     @staticmethod
     def evaluate(
@@ -260,8 +250,7 @@ class DatabaseSession:
         except QueryError as exc:
             raise SessionError(str(exc)) from exc
         return QueryResult(
-            execution.table, snap.version, explain=execution.explain,
-            trace_id=_trace_id(), analyze=execution.analyze,
+            execution.table, snap.version, explain=execution.explain, analyze=execution.analyze
         )
 
     # -- writes --------------------------------------------------------------

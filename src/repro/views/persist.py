@@ -13,11 +13,11 @@ This module is now the *only* reader and writer of the sidecar format,
 and converts both ways between a registry dict and a live manager:
 
 * :func:`manager_to_registry` snapshots a manager's views (rule text +
-  current materialization), stamped with a digest of the database they
-  were computed against;
+  current materialization), stamped with the :func:`file_digest` (sha256
+  of the file's bytes) of the database file they were computed against;
 * :func:`manager_from_registry` rebuilds a manager by re-defining every
   stored view over a given database.  When the caller supplies the
-  current database digest and a stored view was materialized against a
+  current file digest and a stored view was materialized against a
   *different* database, the default is an **explicit**
   :class:`StaleViewRegistryError` — never a silent stale read.  Callers
   that can do better opt in: ``on_stale="refresh"`` re-materializes

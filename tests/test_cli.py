@@ -5,15 +5,9 @@ import json
 import pytest
 
 from repro import Instance, TableDatabase, c_table, codd_table, i_table
-from repro.cli import (
-    EXIT_NO,
-    EXIT_USAGE,
-    EXIT_YES,
-    load_database_file,
-    load_instance_file,
-    main,
-)
+from repro.cli import EXIT_NO, EXIT_USAGE, EXIT_YES, load_instance_file, main
 from repro.io import dumps_database, dumps_instance, json_dumps
+from repro.io.files import load_database_file
 
 
 @pytest.fixture
@@ -138,7 +132,7 @@ class TestConvert:
         assert main(["convert", str(json_path), "--to", "text"]) == EXIT_YES
         text = capsys.readouterr().out
         assert "%table R/2" in text
-        assert load_database_file(db_file) == load_database_file(str(json_path))
+        assert load_database_file(db_file)[0] == load_database_file(str(json_path))[0]
 
     def test_instance_conversion(self, world_file, capsys):
         assert main(["convert", world_file, "--to", "json"]) == EXIT_YES
@@ -151,7 +145,7 @@ class TestFileLoading:
         db = TableDatabase.single(codd_table("R", 1, [(7,)]))
         path = tmp_path / "db.json"
         path.write_text(json_dumps(db))
-        assert load_database_file(str(path)) == db
+        assert load_database_file(str(path)) == (db, "json")
 
     def test_json_instance_autodetected(self, tmp_path):
         inst = Instance({"R": [(1,)]})

@@ -1,5 +1,5 @@
-"""Tests for repro.obs: the metrics registry, structured tracing and
-EXPLAIN ANALYZE instrumentation.
+"""Tests for repro.obs: metric families and their Prometheus rendering,
+structured tracing and EXPLAIN ANALYZE instrumentation.
 
 These are the library-level tests (no HTTP); the server surfaces —
 ``/metrics``, trace-id headers, the ``analyze`` query flag — are covered
@@ -21,8 +21,8 @@ from repro.obs.metrics import (
     CounterGroup,
     Histogram,
     MetricFamily,
-    MetricsRegistry,
     counter_family,
+    gauge_family,
     render_families,
 )
 from repro.obs.tracing import (
@@ -35,12 +35,11 @@ from repro.obs.tracing import (
     start_trace,
 )
 from repro.relational.stats import resolve_stats
-from repro.server.pool import LatencyTracker
 from repro.workloads import skewed_star_join_database, skewed_star_join_expression
 
 
 # ---------------------------------------------------------------------------
-# Histogram quantile edge cases (the old LatencyTracker gaps)
+# Histogram quantile edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -74,8 +73,19 @@ class TestHistogram:
             h.record(value)
         # The 100.0 sample fell out of the window: max is now 3.0.
         assert h.quantile(1.0) == 3.0
-        assert h.window == 3
+        assert h.summary()["window"] == 3
         assert h.count == 4  # lifetime count keeps going
+
+    def test_window_minus_one_boundary(self):
+        h = Histogram(window=4)
+        for seconds in (0.003, 0.001, 0.002):  # one under capacity
+            h.record(seconds)
+        assert h.quantile(1.0) == 0.003
+        h.record(0.004)  # exactly at capacity
+        assert h.quantile(1.0) == 0.004
+        h.record(0.005)  # 0.003 evicted
+        assert h.quantile(0.0) == 0.001
+        assert h.summary()["window"] == 4
 
     def test_nearest_rank_exact(self):
         h = Histogram(window=200)
@@ -101,48 +111,6 @@ class TestHistogram:
         assert "# TYPE test_hist_seconds summary" in text
         assert 'test_hist_seconds{quantile="0.5"} 0.5' in text
         assert "test_hist_seconds_count 1" in text
-
-
-class TestLatencyTrackerEdgeCases:
-    """Direct unit tests for the quantile edge cases (satellite #2)."""
-
-    def test_empty_percentile(self):
-        assert LatencyTracker().percentile(0.5) == 0.0
-
-    def test_single_sample_all_percentiles(self):
-        tracker = LatencyTracker()
-        tracker.record(0.25)
-        for fraction in (0.0, 0.5, 0.99, 1.0):
-            assert tracker.percentile(fraction) == 0.25
-        summary = tracker.summary()
-        assert summary["p50_ms"] == pytest.approx(250.0)
-        assert summary["p99_ms"] == pytest.approx(250.0)
-
-    def test_window_minus_one_boundary(self):
-        tracker = LatencyTracker(window=4)
-        for seconds in (0.003, 0.001, 0.002):  # one under capacity
-            tracker.record(seconds)
-        assert tracker.percentile(1.0) == 0.003
-        tracker.record(0.004)  # exactly at capacity
-        assert tracker.percentile(1.0) == 0.004
-        tracker.record(0.005)  # 0.003 evicted
-        assert tracker.percentile(0.0) == 0.001
-        assert tracker.summary()["window"] == 4
-
-    def test_legacy_summary_shape(self):
-        tracker = LatencyTracker()
-        assert tracker.summary() == {
-            "count": 0,
-            "window": 0,
-            "mean_ms": 0.0,
-            "p50_ms": 0.0,
-            "p99_ms": 0.0,
-        }
-        tracker.record(0.010)
-        tracker.record(0.030)
-        summary = tracker.summary()
-        assert set(summary) == {"count", "window", "mean_ms", "p50_ms", "p99_ms"}
-        assert summary["mean_ms"] == pytest.approx(20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,77 +149,49 @@ class TestCounterGroup:
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry + Prometheus rendering
+# Prometheus text rendering
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_duplicate_name_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total")
-        with pytest.raises(ValueError):
-            registry.gauge("repro_x_total")
-
+class TestPrometheusText:
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError):
             MetricFamily("bad name!", "counter")
 
     def test_render_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_events_total", "events")
-        gauge = registry.gauge("repro_depth", "depth")
-        hist = registry.histogram("repro_lat_seconds", "latency", window=4)
-        counter.inc()
-        counter.inc(2)
-        gauge.set(7)
+        hist = Histogram(window=4, name="repro_lat_seconds", help="latency")
         hist.record(0.5)
-        text = registry.render_prometheus()
+        text = render_families([
+            counter_family("repro_events_total", "events", {"a": 3}),
+            gauge_family("repro_depth", "depth", [({}, 7)]),
+            hist.collect(),
+        ])
         assert "# HELP repro_events_total events" in text
         assert "# TYPE repro_events_total counter" in text
-        assert "repro_events_total 3" in text
+        assert 'repro_events_total{key="a"} 3' in text
+        assert "# TYPE repro_depth gauge" in text
         assert "repro_depth 7" in text
         assert "# TYPE repro_lat_seconds summary" in text
 
     def test_every_sample_line_parses(self):
         import re
 
-        registry = MetricsRegistry()
-        registry.register_collector(
-            lambda: [
-                counter_family(
-                    "repro_multi_total",
-                    "per-key",
-                    {"a": 1, "b": 2},
-                    label="key",
-                    extra={"db": 'we"ird\nname'},
-                )
-            ]
-        )
+        weird = 'we"ird\nname'
+        text = render_families([
+            MetricFamily(
+                "repro_multi_total",
+                "counter",
+                "per-key",
+                [({"db": weird, "key": "a"}, 1), ({"db": weird, "key": "b"}, 2)],
+            )
+        ])
         line_re = re.compile(
             r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE+.NaInf-]+$"
         )
-        for line in registry.render_prometheus().strip().splitlines():
+        for line in text.strip().splitlines():
             if line.startswith("#"):
                 continue
             assert line_re.match(line), line
-
-    def test_failing_collector_surfaces_as_error_gauge(self):
-        registry = MetricsRegistry()
-
-        def broken():
-            raise RuntimeError("boom")
-
-        registry.register_collector(broken)
-        text = registry.render_prometheus()
-        assert "repro_metrics_collector_errors 1" in text
-
-    def test_gauge_callback_read_at_scrape(self):
-        registry = MetricsRegistry()
-        state = {"v": 1}
-        registry.gauge("repro_live", fn=lambda: state["v"])
-        assert "repro_live 1" in registry.render_prometheus()
-        state["v"] = 9
-        assert "repro_live 9" in registry.render_prometheus()
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +285,7 @@ class TestSlowQueryLog:
         log = SlowQueryLog(threshold_ms=5.0, emit=lines.append)
         assert not log.record("db", "fast", 4.9, "cache", "t1")
         assert log.record("db", "slow", 5.0, "inline", "t2")
-        entries = log.entries()
+        entries = log.stats()["recent"]
         assert len(entries) == 1
         assert entries[0]["db"] == "db"
         assert entries[0]["ms"] == 5.0

@@ -2,8 +2,8 @@
 the enriched ``/stats``, trace-id propagation over HTTP and the worker
 pool, the ``analyze`` query flag and the slow-query log.
 
-The library-level pieces (registry, tracing, EXPLAIN ANALYZE walker)
-are covered in ``tests/test_obs.py``.
+The library-level pieces (metric families, tracing, EXPLAIN ANALYZE
+walker) are covered in ``tests/test_obs.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro.core.tables import TableDatabase, codd_table
 from repro.io.jsonio import database_to_json, table_from_json
 from repro.obs.tracing import TRACE_HEADER
-from repro.server import ServerClient, make_server, start_in_thread
+from repro.server import DatabaseSession, ServerClient, make_server, start_in_thread
 
 
 def graph_db(*edges):
@@ -99,6 +99,73 @@ class TestMetricsEndpoint:
             client.query("g", PATH_QUERY)
         after = outcome_total(client.metrics())
         assert after >= before + 3 * 2  # each query bumps queries + one rung
+
+    def test_metrics_exposition_families_and_labels(self):
+        # Every family: a pooled server with the request cache and the
+        # slow-query log on, after a query, a write and a query.
+        server, client = _make(workers=1, slow_query_ms=0.0)
+        try:
+            create_graph(client)
+            client.query("g", PATH_QUERY)
+            client.update("g", ["insert", "R", ["c", "d"]])
+            client.query("g", PATH_QUERY)
+            text = client.metrics()
+        finally:
+            server.shutdown()
+            server.server_close()
+        types = []
+        labels: dict[str, set] = {}
+        for line in text.strip().splitlines():
+            if line.startswith("# TYPE "):
+                types.append(line)
+                labels[line.split()[2]] = set()
+            elif not line.startswith("#"):
+                family = types[-1].split()[2]
+                assert line.startswith(family), line
+                labels[family] |= set(re.findall(r'(\w+)="', line))
+        assert types == [
+            "# TYPE repro_queries_total counter",
+            "# TYPE repro_request_cache_total counter",
+            "# TYPE repro_request_cache_entries gauge",
+            "# TYPE repro_pool_events_total counter",
+            "# TYPE repro_pool_workers gauge",
+            "# TYPE repro_request_latency_seconds summary",
+            "# TYPE repro_slow_queries_total counter",
+            "# TYPE repro_db_version gauge",
+            "# TYPE repro_db_tables gauge",
+            "# TYPE repro_db_views gauge",
+            "# TYPE repro_view_maintenance_total counter",
+            "# TYPE repro_stats_store gauge",
+        ]
+        assert labels == {
+            "repro_queries_total": {"outcome"},
+            "repro_request_cache_total": {"result"},
+            "repro_request_cache_entries": set(),
+            "repro_pool_events_total": {"event"},
+            "repro_pool_workers": {"state"},
+            "repro_request_latency_seconds": {"quantile"},
+            "repro_slow_queries_total": set(),
+            "repro_db_version": {"db"},
+            "repro_db_tables": {"db"},
+            "repro_db_views": {"db"},
+            "repro_view_maintenance_total": {"db", "key"},
+            "repro_stats_store": {"db", "key"},
+        }
+
+    def test_failing_telemetry_renders_the_error_gauge(self, served, monkeypatch):
+        server, client = served
+        create_graph(client)
+
+        def broken(session):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(DatabaseSession, "telemetry", broken)
+        host, port = server.server_address[:2]
+        with urllib.request.urlopen(f"http://{host}:{port}/metrics") as resp:
+            assert resp.status == 200
+            body = resp.read().decode("utf-8")
+        assert "# TYPE repro_metrics_collector_errors gauge" in body
+        assert "repro_metrics_collector_errors 1" in body
 
     def test_client_metrics_helper_returns_text(self, served):
         _, client = served

@@ -1,5 +1,5 @@
 """Tests for repro.server.pool: the worker pool, request cache,
-latency tracker and the query dispatcher's degradation ladder.
+request-latency readout and the query dispatcher's degradation ladder.
 
 The pool pieces are exercised directly (not over HTTP — that surface is
 covered in ``tests/test_server.py``) so failures localize to the
@@ -14,14 +14,11 @@ import pickle
 
 import pytest
 
+from repro.core.conditions import Conjunction, Neq
 from repro.core.tables import TableDatabase, codd_table
+from repro.core.terms import Variable
 from repro.server import DatabaseSession, SessionError
-from repro.server.pool import (
-    LatencyTracker,
-    QueryDispatcher,
-    RequestCache,
-    WorkerPool,
-)
+from repro.server.pool import QueryDispatcher, RequestCache, WorkerPool
 
 
 def graph_db(*edges):
@@ -36,14 +33,13 @@ PATH_QUERY = "Q(X, Z) :- R(X, Y), R(Y, Z)."
 
 
 # ---------------------------------------------------------------------------
-# LatencyTracker
+# Request latency: the dispatcher's histogram, read in ms by /stats
 # ---------------------------------------------------------------------------
 
 
-class TestLatencyTracker:
+class TestRequestLatency:
     def test_empty_summary(self):
-        tracker = LatencyTracker()
-        assert tracker.summary() == {
+        assert QueryDispatcher().stats()["latency"] == {
             "count": 0,
             "window": 0,
             "mean_ms": 0.0,
@@ -52,28 +48,28 @@ class TestLatencyTracker:
         }
 
     def test_nearest_rank_percentiles(self):
-        tracker = LatencyTracker(window=200)
+        dispatcher = QueryDispatcher()
         # 1ms .. 100ms: nearest-rank p50 is the 50th sample, p99 the 99th.
         for i in range(1, 101):
-            tracker.record(i / 1000.0)
-        assert tracker.percentile(0.50) == pytest.approx(0.050)
-        assert tracker.percentile(0.99) == pytest.approx(0.099)
-        assert tracker.percentile(1.00) == pytest.approx(0.100)
-        summary = tracker.summary()
+            dispatcher.latency.record(i / 1000.0)
+        assert dispatcher.latency.quantile(0.50) == pytest.approx(0.050)
+        assert dispatcher.latency.quantile(0.99) == pytest.approx(0.099)
+        assert dispatcher.latency.quantile(1.00) == pytest.approx(0.100)
+        summary = dispatcher.stats()["latency"]
         assert summary["count"] == 100
         assert summary["p50_ms"] == pytest.approx(50.0)
         assert summary["p99_ms"] == pytest.approx(99.0)
         assert summary["mean_ms"] == pytest.approx(50.5)
 
     def test_window_bounds_percentiles_but_not_count(self):
-        tracker = LatencyTracker(window=10)
-        for i in range(100):
-            tracker.record(float(i))
-        summary = tracker.summary()
-        assert summary["count"] == 100
-        assert summary["window"] == 10
-        # Only the last 10 samples (90..99) inform the percentiles.
-        assert summary["p50_ms"] == pytest.approx(94000.0)
+        dispatcher = QueryDispatcher()
+        for i in range(3000):
+            dispatcher.latency.record(float(i))
+        summary = dispatcher.stats()["latency"]
+        assert summary["count"] == 3000
+        assert summary["window"] == 2048
+        # Only the last 2048 samples (952..2999) inform the percentiles.
+        assert summary["p50_ms"] == pytest.approx((952 + 1023) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +148,59 @@ class TestWorkerPool:
             assert pool.counters["delta_ships"] == 1
             assert pool.counters["delta_tables"] == 1
             assert pool.counters["dispatched"] == 3
+        finally:
+            pool.close()
+
+    def test_one_changed_table_ships_one_table(self):
+        session = DatabaseSession("g", TableDatabase([
+            codd_table("R", 2, [("a", "b")]),
+            codd_table("S", 2, [("b", "c")]),
+        ]))
+        query = "Q(X, Z) :- R(X, Y), S(Y, Z)."
+        pool = WorkerPool(1, timeout=60.0)
+        try:
+            pool.query("g", session.snapshot(), query)
+            session.apply([("insert", "R", ("x", "b"))])
+            result = pool.query("g", session.snapshot(), query)
+            assert row_values(result.table) == {("a", "c"), ("x", "c")}
+            # R is a new object, S the very one the worker holds.
+            assert pool.counters["delta_ships"] == 1
+            assert pool.counters["delta_tables"] == 1
+        finally:
+            pool.close()
+
+    def test_schema_change_ships_the_full_database(self):
+        # A database dropped and re-created under the same name with
+        # other tables: the worker's copy cannot be patched.
+        pool = WorkerPool(1, timeout=60.0)
+        try:
+            first = DatabaseSession("g", graph_db(("a", "b"), ("b", "c")))
+            pool.query("g", first.snapshot(), PATH_QUERY)
+            second = DatabaseSession("g", TableDatabase([
+                codd_table("R", 2, [("a", "b"), ("b", "d")]),
+                codd_table("S", 1, [("a",)]),
+            ]))
+            result = pool.query("g", second.snapshot(), PATH_QUERY)
+            assert row_values(result.table) == {("a", "d")}
+            assert pool.counters["full_ships"] == 2
+            assert pool.counters["delta_ships"] == 0
+        finally:
+            pool.close()
+
+    def test_extra_condition_change_ships_the_full_database(self):
+        x = Variable("x")
+        table = codd_table("R", 2, [("a", x), ("b", "c")])
+        plain = DatabaseSession("g", TableDatabase([table]))
+        conditioned = DatabaseSession(
+            "g", TableDatabase([table], extra_condition=Conjunction([Neq(x, "b")]))
+        )
+        pool = WorkerPool(1, timeout=60.0)
+        try:
+            pool.query("g", plain.snapshot(), PATH_QUERY)
+            # Same table object, other extra condition: not a delta.
+            assert pool.query("g", conditioned.snapshot(), PATH_QUERY) is not None
+            assert pool.counters["full_ships"] == 2
+            assert pool.counters["delta_ships"] == 0
         finally:
             pool.close()
 

@@ -10,12 +10,14 @@ HTTP surface — mostly single-threaded so failures localize well.
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
 
 from repro.core.tables import TableDatabase, c_table, codd_table
 from repro.core.terms import Constant
+from repro.io.files import DatabaseFileError, load_database_file
 from repro.io.jsonio import database_to_json, table_from_json
 from repro.io.text import dumps_database
 from repro.server import (
@@ -24,7 +26,6 @@ from repro.server import (
     ServerError,
     SessionError,
     SessionRegistry,
-    load_database_file,
     make_server,
     start_in_thread,
 )
@@ -341,8 +342,12 @@ class TestSessionRegistry:
         assert fmt == "text" and row_values(loaded["R"]) == {("a", "b")}
         loaded, fmt = load_database_file(str(json_path))
         assert fmt == "json" and row_values(loaded["R"]) == {("a", "b")}
-        with pytest.raises(SessionError, match="cannot read"):
-            load_database_file(str(tmp_path / "missing.pwt"))
+        missing = str(tmp_path / "missing.pwt")
+        with pytest.raises(DatabaseFileError, match="cannot read"):
+            load_database_file(missing)
+        # The server maps the loader's error to its own type.
+        with pytest.raises(SessionError, match=f"cannot read {re.escape(missing)}: "):
+            SessionRegistry().open_file("g", missing)
 
 
 # ---------------------------------------------------------------------------

@@ -179,51 +179,6 @@ class TestTableDatabase:
         assert db.total_rows() == 1
 
 
-class TestDigestsAndDeltas:
-    def make_db(self):
-        return TableDatabase(
-            [
-                codd_table("R", 2, [("a", "b"), ("b", "c")]),
-                codd_table("S", 1, [("a",)]),
-            ]
-        )
-
-    def test_digest_is_stable_and_content_addressed(self):
-        db = self.make_db()
-        table = db["R"]
-        assert table.digest() == table.digest()
-        # Same content, fresh object: same digest.
-        clone = CTable("R", 2, table.rows, table.global_condition)
-        assert clone.digest() == table.digest()
-        changed = table.extended([Row((Constant("c"), Constant("d")))])
-        assert changed.digest() != table.digest()
-
-    def test_delta_from_identity_is_empty(self):
-        db = self.make_db()
-        assert db.delta_from(db) == ()
-
-    def test_delta_from_names_only_changed_tables(self):
-        db = self.make_db()
-        new_r = db["R"].extended([Row((Constant("c"), Constant("d")))])
-        updated = db.replacing(new_r)
-        delta = updated.delta_from(db)
-        assert [t.name for t in delta] == ["R"]
-        # Reconstructing from the base plus the delta gives the update.
-        rebuilt = db.replacing(*delta)
-        assert rebuilt.table_digests() == updated.table_digests()
-
-    def test_delta_from_incompatible_shapes_is_none(self):
-        db = self.make_db()
-        different_schema = TableDatabase([codd_table("R", 2, [("a", "b")])])
-        assert db.delta_from(different_schema) is None
-
-    def test_delta_from_differing_extra_condition_is_none(self):
-        a = CTable("A", 1, [(x,)])
-        plain = TableDatabase([a])
-        conditioned = TableDatabase([a], extra_condition=Conjunction([Neq(x, 1)]))
-        assert plain.delta_from(conditioned) is None
-
-
 class TestPickleRoundTrips:
     """The worker pool ships snapshots across process boundaries, so
     every value-object layer must survive pickling despite the
@@ -246,16 +201,18 @@ class TestPickleRoundTrips:
         assert self.roundtrip(cond) == cond
         assert self.roundtrip(TRUE) == TRUE
 
-    def test_tables_with_lazy_digest(self):
+    def test_tables_with_lazy_stats(self):
         table = c_table("R", 2, [((0, "?x"), "x != 9"), (("?y", 1),)], "y != 0")
-        # Unset lazy digest slot: must pickle (the slot is skipped) ...
+        # Unset statistics memo: must pickle (the slot is skipped) ...
         clone = self.roundtrip(table)
         assert set(clone.rows) == set(table.rows)
         assert clone.global_condition == table.global_condition
-        # ... and a memoised digest round-trips too.
-        table.digest()
+        assert not clone.has_stats()
+        # ... and a memoised one round-trips too.
+        table.stats()
         again = self.roundtrip(table)
-        assert again.digest() == table.digest()
+        assert again.has_stats()
+        assert again.stats().to_json() == table.stats().to_json()
 
     def test_database_and_statistics(self):
         from repro.relational.stats import Statistics
@@ -267,7 +224,7 @@ class TestPickleRoundTrips:
             ]
         )
         clone = self.roundtrip(db)
-        assert clone.table_digests() == db.table_digests()
+        assert clone == db
         stats = Statistics.collect(db)
         stats_clone = self.roundtrip(stats)
         assert stats_clone.get("R").rows == stats.get("R").rows
