@@ -30,6 +30,11 @@ Sections, each with a hard floor (non-zero exit on failure):
    after every insert by ``>= 3x`` (``>= 1.5x`` in ``--quick``), with
    equal tuple sets at the end of the stream.
 
+The last line of output is ``BENCH_JSON {...}`` with both sections'
+figures (``semi_naive_ms``, ``naive_ms``, ``scratch_speedup``,
+``full_ms_per_insert``, ``incremental_ms_per_insert``,
+``maintenance_speedup``), printed whether or not a floor held.
+
 Runs standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_datalog_seminaive.py          # full sweep
@@ -39,6 +44,7 @@ Runs standalone (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
@@ -61,7 +67,7 @@ def _terms(db, name):
     return {row.terms for row in db[name].rows}
 
 
-def run_scratch(layers, width, floor, seed) -> int:
+def run_scratch(layers, width, floor, seed) -> tuple[int, dict]:
     rng = random.Random(seed)
     db = layered_uncertain_graph(rng, layers=layers, width=width)
     text = transitive_closure_program()
@@ -100,10 +106,14 @@ def run_scratch(layers, width, floor, seed) -> int:
             file=sys.stderr,
         )
         failures += 1
-    return failures
+    return failures, {
+        "semi_naive_ms": round(semi_time * 1e3, 3),
+        "naive_ms": round(naive_time * 1e3, 3),
+        "scratch_speedup": round(speedup, 2),
+    }
 
 
-def run_maintenance(layers, width, length, floor, seed) -> int:
+def run_maintenance(layers, width, length, floor, seed) -> tuple[int, dict]:
     """A maintained recursive view vs full refixpoint after every insert."""
     rng = random.Random(seed)
     base = layered_uncertain_graph(rng, layers=layers, width=width)
@@ -168,7 +178,11 @@ def run_maintenance(layers, width, length, floor, seed) -> int:
             file=sys.stderr,
         )
         failures += 1
-    return failures
+    return failures, {
+        "full_ms_per_insert": round(full_time / length * 1e3, 3),
+        "incremental_ms_per_insert": round(incremental_time / length * 1e3, 3),
+        "maintenance_speedup": round(speedup, 2),
+    }
 
 
 def main(argv=None) -> int:
@@ -181,9 +195,10 @@ def main(argv=None) -> int:
     layers, width, length, scratch_floor, maintenance_floor = (
         QUICK if args.quick else FULL
     )
-    failures = run_scratch(layers, width, scratch_floor, args.seed)
-    failures += run_maintenance(layers, width, length, maintenance_floor, args.seed)
-    return 1 if failures else 0
+    failures, figures = run_scratch(layers, width, scratch_floor, args.seed)
+    more, maintenance = run_maintenance(layers, width, length, maintenance_floor, args.seed)
+    print("BENCH_JSON " + json.dumps({**figures, **maintenance}))
+    return 1 if failures + more else 0
 
 
 if __name__ == "__main__":

@@ -27,10 +27,13 @@ Each operation builds a new database and never edits the old one, so the
 new version of the touched table starts with an empty statistics memo
 (:meth:`repro.core.tables.CTable.stats`) while every untouched table,
 shared by :meth:`~repro.core.tables.TableDatabase.replacing`, keeps its
-own.  An optional ``views`` (:class:`repro.views.ViewManager`) is
+own.  An operation that changes nothing (re-inserting a fact the table
+holds as an unconditional row, deleting a fact no row unifies with)
+returns the old database itself, so no table is rebuilt and no memo
+refilled.  An optional ``views`` (:class:`repro.views.ViewManager`) is
 notified after the update is validated and applied, so materialized
-views are maintained incrementally; a raising update leaves the views
-untouched.
+views are maintained incrementally; a raising update or a no-op leaves
+the views untouched.
 """
 
 from __future__ import annotations
@@ -93,10 +96,16 @@ def insert_fact(
     """Insert a (ground) fact into every possible world.
 
     Idempotent on the representation: the new row is unconditional, so
-    every world of the result contains the fact exactly once.
+    every world of the result contains the fact exactly once.  When the
+    table already holds that row, the constructor's dedup drops it and
+    the insert changes nothing: ``db`` itself comes back and no view is
+    notified.
     """
     table, target = _ground_target(db, relation, fact)
-    updated = db.replacing(table.with_rows(tuple(table.rows) + (Row(target),)))
+    rebuilt = table.with_rows(tuple(table.rows) + (Row(target),))
+    if len(rebuilt.rows) == len(table.rows):
+        return db
+    updated = db.replacing(rebuilt)
     if views is not None:
         views.notify_insert(relation, target, updated)
     return updated
@@ -115,7 +124,9 @@ def delete_fact(
 
     ``views`` is told which rows were dropped and whether any condition
     was rewritten, so it maintains pure removals by delta without
-    diffing the old and new tables.
+    diffing the old and new tables.  A delete that drops and rewrites
+    nothing (no row unifies with the fact) returns ``db`` itself and
+    notifies no view.
     """
     table, target = _ground_target(db, relation, fact)
     rows: list[Row] = []
@@ -143,6 +154,8 @@ def delete_fact(
         strengthened = Row(row.terms, condition)
         rewritten = rewritten or strengthened != row
         rows.append(strengthened)
+    if not dropped and not rewritten:
+        return db
     updated = db.replacing(table.with_rows(rows))
     if views is not None:
         views.notify_delete(relation, target, updated, tuple(dropped), rewritten)

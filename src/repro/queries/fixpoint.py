@@ -32,6 +32,13 @@ subsumption test itself is validated by the differential harness in
 :func:`repro.ctalgebra.evaluate.evaluate_ct` path) and to per-world
 ground fixpoints.
 
+The test runs once per derived row, and derived rows carry the same few
+condition values many times over, so each fact set memoises the
+canonical form per condition and the subsumption verdict per pair of
+canonical conditions.  Both are functions of structure, so a hit
+returns what the call would have, and both are bounded by the distinct
+conditions built from the same finite pool (:class:`_FactSet`).
+
 Three layers:
 
 * :class:`CTFixpoint` — the compiled program: rule plans, predicate
@@ -159,16 +166,42 @@ class _FactSet:
     canonical condition, or its DNF is implied).  ``add`` returns the
     canonicalised row when it was genuinely new — exactly the rows that
     become the next round's delta.
+
+    Derived conditions are fresh objects but rarely fresh values, so
+    two memos make each distinct value cost one canonicalisation and
+    each distinct ``(existing, candidate)`` pair one subsumption test.
+    ``_canonical`` maps a condition to its :func:`_canonical_parts`
+    result, and files each canonical form under its own key too (a
+    canonical condition is its own canonical form), so a copy of one
+    hits and equal rows share one canonical object.  ``_subsumes`` maps
+    a pair of canonical conditions to :func:`_dnf_subsumes` on their
+    DNFs.  Both functions read only their argument's structure, and
+    condition equality is structural, so a hit returns exactly what the
+    call would have.  The memos hold one entry per distinct condition
+    given (plus its canonical form) and per distinct pair met in a
+    bucket, all built from the finite atom pool of the termination
+    argument; they live as long as the fact set, so a standing recursive
+    view keeps them across :meth:`FixpointEvaluation.insert_base`.
     """
 
-    __slots__ = ("buckets", "count")
+    __slots__ = ("buckets", "count", "_canonical", "_subsumes")
 
     def __init__(self) -> None:
         self.buckets: dict[tuple, list[tuple[Row, tuple[Conjunction, ...]]]] = {}
         self.count = 0
+        self._canonical: dict[
+            BoolCondition, tuple[BoolCondition, tuple[Conjunction, ...]] | None
+        ] = {}
+        self._subsumes: dict[tuple[BoolCondition, BoolCondition], bool] = {}
 
     def add(self, row: Row) -> Row | None:
-        parts = _canonical_parts(row.condition)
+        try:
+            parts = self._canonical[row.condition]
+        except KeyError:
+            parts = _canonical_parts(row.condition)
+            if parts is not None:
+                parts = self._canonical.setdefault(parts[0], parts)
+            self._canonical[row.condition] = parts
         if parts is None:
             return None
         condition, dnf = parts
@@ -176,7 +209,11 @@ class _FactSet:
         for existing, existing_dnf in bucket:
             if existing.condition == condition:
                 return None
-            if _dnf_subsumes(existing_dnf, dnf):
+            pair = (existing.condition, condition)
+            verdict = self._subsumes.get(pair)
+            if verdict is None:
+                verdict = self._subsumes[pair] = _dnf_subsumes(existing_dnf, dnf)
+            if verdict:
                 return None
         new_row = Row(row.terms, condition)
         bucket.append((new_row, dnf))

@@ -85,13 +85,20 @@ def _dispatcher_families(dispatcher):
 
 
 def _session_families(registry):
+    """The per-database families, and how many sessions raised reading
+    their telemetry (those sessions are left out of every family)."""
     versions = []
     tables = []
     view_counts = []
     view_counters = []
     stats_counters = []
+    errors = 0
     for session in registry.sessions():
-        telemetry = session.telemetry()
+        try:
+            telemetry = session.telemetry()
+        except Exception:  # noqa: BLE001 - a failing reader must not kill a scrape
+            errors += 1
+            continue
         label = {"db": session.name}
         versions.append((label, telemetry["version"]))
         tables.append((label, telemetry["tables"]))
@@ -123,26 +130,34 @@ def _session_families(registry):
             "Statistics-store collection counters per database.",
             stats_counters,
         ),
-    ]
+    ], errors
 
 
 def render_metrics(server) -> str:
     """The ``GET /metrics`` body for one :class:`ReproServer`.
 
-    A scrape whose reading raises answers with the
-    ``repro_metrics_collector_errors`` gauge instead of failing, so a
-    half-broken server still answers its scraper.
+    The dispatcher and each session are read under their own guard, so
+    a source that raises loses only its own samples: the scrape keeps
+    every healthy family and adds the ``repro_metrics_collector_errors``
+    gauge, the number of sources that raised.  A clean scrape has no
+    such gauge.
     """
     try:
         families = _dispatcher_families(server.dispatcher)
-        families.extend(_session_families(server.registry))
+        errors = 0
     except Exception:  # noqa: BLE001 - a failing reader must not kill a scrape
-        families = [
+        families, errors = [], 1
+    session_families, session_errors = _session_families(server.registry)
+    families.extend(session_families)
+    errors += session_errors
+    if errors:
+        families.append(
             MetricFamily(
                 "repro_metrics_collector_errors",
                 "gauge",
-                "1 when reading the server's live state raised during this scrape.",
-                [({}, 1)],
+                "Sources (the dispatcher, each database session) whose reading "
+                "raised during this scrape.",
+                [({}, errors)],
             )
-        ]
+        )
     return render_families(families)

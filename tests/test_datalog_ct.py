@@ -28,7 +28,9 @@ rows, disconnected components, empty deltas).
 Also here: seeded property tests for the *ground* engines
 (``naive_fixpoint == seminaive_fixpoint`` fact-for-fact over random
 pure programs, marked ``slow``), the fail-fast arity regression test,
-and unit tests for ``canonical_condition`` / ``datalog_fingerprint``.
+a hypothesis differential test holding the fact set's memoised ``add``
+to the unmemoised loop, and unit tests for ``canonical_condition`` /
+``datalog_fingerprint``.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.conditions import BoolAnd, BoolAtom, BoolOr, Conjunction, Eq
+from repro.core.conditions import BoolAnd, BoolAtom, BoolOr, Conjunction, Eq, Neq
 from repro.core.tables import CTable, Row, TableDatabase
 from repro.core.terms import Constant, Variable
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
+from repro.queries import fixpoint
 from repro.queries.datalog import DatalogQuery, naive_fixpoint, seminaive_fixpoint
 from repro.queries.fixpoint import (
     CTFixpoint,
@@ -338,6 +343,122 @@ class TestArityValidation:
         db = TableDatabase([CTable("edge", 3, [])])
         with pytest.raises(ValueError, match="arity"):
             program.run(db)
+
+
+# ---------------------------------------------------------------------------
+# The fact set's memos against the unmemoised add loop
+# ---------------------------------------------------------------------------
+
+
+class _UnmemoisedFactSet:
+    """The reference: ``_FactSet.add`` without its memos, so every call
+    canonicalises and every bucket comparison runs the subsumption test."""
+
+    def __init__(self):
+        self.buckets = {}
+
+    def add(self, row):
+        parts = fixpoint._canonical_parts(row.condition)
+        if parts is None:
+            return None
+        condition, dnf = parts
+        bucket = self.buckets.setdefault(row.terms, [])
+        for existing, existing_dnf in bucket:
+            if existing.condition == condition:
+                return None
+            if fixpoint._dnf_subsumes(existing_dnf, dnf):
+                return None
+        new_row = Row(row.terms, condition)
+        bucket.append((new_row, dnf))
+        return new_row
+
+    def rows(self):
+        for bucket in self.buckets.values():
+            for row, _ in bucket:
+                yield row
+
+
+_X, _Y = Variable("x"), Variable("y")
+_ZERO, _ONE = Constant(0), Constant(1)
+#: Two variables, two constants; conjoining them yields contradictions
+#: (``x = 0 & x != 0``, ``x = 0 & y = 1 & x = y``).
+_MEMO_ATOMS = (
+    Eq(_X, _ZERO), Neq(_X, _ZERO), Eq(_Y, _ONE), Neq(_Y, _ONE), Eq(_X, _Y), Neq(_X, _Y),
+)
+_MEMO_TERMS = (
+    (Constant("a"), Constant("b")),
+    (Constant("a"), _X),
+    (_Y, Constant("b")),
+)
+
+_conditions = st.recursive(
+    st.sampled_from(_MEMO_ATOMS).map(BoolAtom),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(lambda cs: BoolAnd(tuple(cs))),
+        st.lists(children, max_size=3).map(lambda cs: BoolOr(tuple(cs))),
+    ),
+    max_leaves=8,
+)
+
+
+def _rebuilt(condition):
+    """A structurally equal copy sharing no condition node."""
+    if isinstance(condition, BoolAtom):
+        atom = condition.atom
+        return BoolAtom(type(atom)(atom.left, atom.right))
+    return type(condition)(tuple(_rebuilt(child) for child in condition.children))
+
+
+def _copy(condition, kind):
+    if kind == "rebuilt":
+        return _rebuilt(condition)
+    if kind == "flattened":
+        return condition.flattened()
+    return canonical_condition(condition) or condition
+
+
+class TestFactSetMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(_MEMO_TERMS) - 1),
+                _conditions,
+                st.sampled_from(("rebuilt", "flattened", "canonical")),
+            ),
+            max_size=12,
+        )
+    )
+    def test_memoised_add_matches_the_unmemoised_loop(self, stream):
+        memoised, reference = fixpoint._FactSet(), _UnmemoisedFactSet()
+        for index, condition, kind in stream:
+            terms = _MEMO_TERMS[index]
+            for fed in (condition, _copy(condition, kind)):
+                row = Row(terms, fed)
+                assert memoised.add(row) == reference.add(row)
+        assert list(memoised.rows()) == list(reference.rows())
+        assert memoised.count == len(list(reference.rows()))
+
+    def test_a_copy_is_canonicalised_once(self, monkeypatch):
+        condition = BoolOr((
+            BoolAnd((BoolAtom(Eq(_X, _ZERO)), BoolAtom(Neq(_Y, _ONE)))),
+            BoolAtom(Eq(_X, _Y)),
+        ))
+        copies = (_rebuilt(condition), canonical_condition(condition))
+        calls = []
+        canonical_parts = fixpoint._canonical_parts
+        monkeypatch.setattr(
+            fixpoint, "_canonical_parts", lambda c: calls.append(c) or canonical_parts(c)
+        )
+        facts = fixpoint._FactSet()
+        first = facts.add(Row(_MEMO_TERMS[0], condition))
+        assert first is not None
+        for copy, terms in zip(copies, _MEMO_TERMS[1:]):
+            assert facts.add(Row(_MEMO_TERMS[0], copy)) is None
+            # A copy in an empty bucket is new, and takes the shared
+            # canonical object.
+            assert facts.add(Row(terms, copy)).condition is first.condition
+        assert calls == [condition]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,28 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_metrics_collector_errors gauge" in body
         assert "repro_metrics_collector_errors 1" in body
 
+    def test_metrics_keep_healthy_families_when_one_session_raises(self, served):
+        server, client = served
+        create_graph(client, "healthy")
+        create_graph(client, "broken")
+        client.query("healthy", PATH_QUERY)
+
+        def broken():
+            raise RuntimeError("boom")
+
+        # One session instance fails; the dispatcher and the other session
+        # still render, and the failing one is left out of every family.
+        server.registry.get("broken").telemetry = broken
+        host, port = server.server_address[:2]
+        with urllib.request.urlopen(f"http://{host}:{port}/metrics") as resp:
+            assert resp.status == 200
+            body = resp.read().decode("utf-8")
+        samples = [line for line in body.splitlines() if not line.startswith("#")]
+        assert any(line.startswith("repro_queries_total{") for line in samples)
+        assert any(line.startswith('repro_db_version{db="healthy"}') for line in samples)
+        assert not any('db="broken"' in line for line in samples)
+        assert "repro_metrics_collector_errors 1" in samples
+
     def test_client_metrics_helper_returns_text(self, served):
         _, client = served
         assert "# TYPE" in client.metrics()

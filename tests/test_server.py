@@ -142,6 +142,25 @@ class TestDatabaseSession:
         assert session.apply([("insert", "R", ("b", "c")), ("delete", "R", ("a", "b"))]) == 2
         assert published == [2]
 
+    def test_no_op_updates_keep_the_database(self):
+        # Deleting a fact no row unifies with, and re-inserting a fact held
+        # as an unconditional row, change nothing: the version advances
+        # (versions count ops) but the database, its statistics memos and
+        # the recursive view's fixpoint stay as they are.
+        session = DatabaseSession("g", graph_db(("a", "b")))
+        session.define_view("T(X, Y) :- R(X, Y). T(X, Z) :- T(X, Y), R(Y, Z).")
+        db = session.snapshot().db
+        collections = session.store.counters()["table_collections"]
+        for version, op in enumerate(
+            [("delete", "R", ("x", "y")), ("insert", "R", ("a", "b"))], start=1
+        ):
+            assert session.apply([op]) == version
+            assert session.snapshot().version == version
+            assert session.snapshot().db is db
+            assert session.store.counters()["table_collections"] == collections
+            assert session.views.counters["refixpoint_recomputes"] == 0
+        assert row_values(session.snapshot().view_table("T")) == {("a", "b")}
+
     def test_bad_query_raises_session_error(self):
         session = DatabaseSession("g", graph_db(("a", "b")))
         with pytest.raises(SessionError, match="query"):
