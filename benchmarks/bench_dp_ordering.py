@@ -33,6 +33,7 @@ Runs standalone (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import random
 import sys
@@ -73,12 +74,23 @@ SNOWFLAKE_TABLES = ("S", "F", "D", "O")
 SNOWFLAKE_EDGES = (("S", 0, "F", 0), ("F", 1, "D", 0), ("D", 1, "O", 0))
 
 
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+def _best_of(fns, repeat: int) -> list[float]:
+    """Each function's best wall time over ``repeat`` rounds.
+
+    Every round times each function once, in forward order on even
+    rounds and reverse order on odd ones, so host load that drifts
+    during the run reaches every arm alike instead of landing on
+    whichever arm's phase it overlapped, and no arm always runs last.
+    Garbage is collected before each call, so no arm pays for the one
+    before it.
+    """
+    best = [float("inf")] * len(fns)
+    for i in range(repeat):
+        for j in range(len(fns)) if i % 2 == 0 else reversed(range(len(fns))):
+            gc.collect()
+            start = time.perf_counter()
+            fns[j]()
+            best[j] = min(best[j], time.perf_counter() - start)
     return best
 
 
@@ -127,9 +139,14 @@ def run_star(sizes, fact_rows, acceptance, repeat: int, seed: int) -> int:
             print(f"  !! row mismatch at dim_rows={size}", file=sys.stderr)
             failures += 1
             continue
-        input_time = _best_of(lambda: evaluate_ct_optimized(expression, db), repeat)
-        greedy_time = _best_of(greedy, repeat)
-        dp_time = _best_of(lambda: evaluate_ct_ordered(expression, db, stats=stats), repeat)
+        input_time, greedy_time, dp_time = _best_of(
+            [
+                lambda: evaluate_ct_optimized(expression, db),
+                greedy,
+                lambda: evaluate_ct_ordered(expression, db, stats=stats),
+            ],
+            repeat,
+        )
         speedup = input_time / dp_time if dp_time > 0 else float("inf")
         print(
             f"{size:>8}  {input_time * 1e3:>8.2f}ms  {greedy_time * 1e3:>8.2f}ms"
@@ -181,15 +198,14 @@ def run_snowflake(params, floor: float, repeat: int, seed: int) -> int:
     timings.sort()
     best_time, best_order = timings[0]
     # Re-time the winning permutation properly (the sweep timed each once).
-    best_time = min(
-        best_time,
-        _best_of(
-            lambda: evaluate_ct_optimized(_left_deep_expression(best_order), db), repeat
-        ),
+    best_again, dp_time = _best_of(
+        [
+            lambda: evaluate_ct_optimized(_left_deep_expression(best_order), db),
+            lambda: evaluate_ct_ordered(expression, db, stats=stats),
+        ],
+        repeat,
     )
-    dp_time = _best_of(
-        lambda: evaluate_ct_ordered(expression, db, stats=stats), repeat
-    )
+    best_time = min(best_time, best_again)
     speedup = best_time / dp_time if dp_time > 0 else float("inf")
     print(f"{'best left-deep':>16}: {best_time * 1e3:>8.2f}ms  (order {' '.join(best_order)})")
     print(f"{'worst left-deep':>16}: {timings[-1][0] * 1e3:>8.2f}ms  (order {' '.join(timings[-1][1])})")

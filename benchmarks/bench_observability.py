@@ -39,6 +39,7 @@ Runs standalone (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import re
@@ -121,7 +122,7 @@ def run_overhead(num_dims, dim_rows, fact_rows, iterations, seed) -> int:
 
     print(
         f"== disabled overhead: dispatcher vs bare pipeline, "
-        f"{num_dims}-dim star ({fact_rows} facts), best of {iterations} =="
+        f"{num_dims}-dim star ({fact_rows} facts), best of {iterations}, interleaved =="
     )
 
     def bare():
@@ -139,16 +140,18 @@ def run_overhead(num_dims, dim_rows, fact_rows, iterations, seed) -> int:
         print("  !! dispatcher and bare pipeline disagree", file=sys.stderr)
         return 1
 
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(iterations):
+    # Each iteration times both paths, alternating which goes first, and
+    # each keeps its best: host load that drifts during the run reaches
+    # both alike instead of landing on one path's phase.  Garbage is
+    # collected before each call, so neither pays for the other's.
+    best = {bare: float("inf"), dispatched: float("inf")}
+    for i in range(iterations):
+        for fn in (bare, dispatched) if i % 2 == 0 else (dispatched, bare):
+            gc.collect()
             start = time.perf_counter()
             fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    bare_s = best_of(bare)
-    dispatched_s = best_of(dispatched)
+            best[fn] = min(best[fn], time.perf_counter() - start)
+    bare_s, dispatched_s = best[bare], best[dispatched]
     ratio = dispatched_s / bare_s if bare_s > 0 else float("inf")
     print(f"{'bare':>16}: {bare_s * 1e3:.3f}ms per query")
     print(f"{'dispatcher':>16}: {dispatched_s * 1e3:.3f}ms per query")

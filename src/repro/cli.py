@@ -600,7 +600,7 @@ def _cmd_serve(args) -> int:
         if not sep or not name or not path:
             raise CliError(f"--db wants NAME=PATH, got {spec!r}")
         try:
-            _, stale = registry.open_file(name, path, on_stale=args.on_stale)
+            _, stale = registry.open_file(name, path)
         except SessionError as exc:
             raise CliError(str(exc)) from exc
         suffix = ""
@@ -921,14 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH",
         help="preload a database file under NAME (repeatable); its view "
         "sidecar is loaded too",
-    )
-    p.add_argument(
-        "--on-stale",
-        choices=("error", "refresh", "skip"),
-        default="error",
-        help="what to do when a preloaded view sidecar's digest does not "
-        "match the database file: refuse to start (default), re-materialize, "
-        "or drop the stale views",
     )
     p.add_argument(
         "--workers",

@@ -23,18 +23,23 @@ either — exactly the grown disjunction.  The differential harness in
 ``tests/test_views.py`` checks every rule against full re-evaluation
 through ``strong_canonicalize``d world sets.
 
-Two rules deliberately do not exist, and callers must recompute instead:
+These are insert rules.  Two cases have none, and callers recompute:
 
 * **difference with right-side inserts** — a new right row *strengthens*
   the conditions of existing output rows (they must now also fail to
   match it), which no additive delta can express;
-* **deletions and modifications** — c-table deletion rewrites base-row
-  conditions in place, and without provenance there is no sound way to
-  locate the derived output rows a rewritten base row produced.
+* **condition-rewriting deletes** — a deleted fact that unifies with a
+  variable-bearing row rewrites that row's condition in place, and
+  without provenance there is no sound way to locate the derived output
+  rows the rewritten row produced.
 
-:class:`repro.views.ViewManager` owns that fallback ("targeted
-recomputation": only the plan subtree reading the touched relation is
-re-executed, against cached siblings).
+A delete that purely *removes* base rows needs no rule of its own: the
+lifted operators are deterministic, so re-running them on the removed
+rows against the cached siblings re-derives exactly the cached rows to
+subtract, under per-operator guards.  :class:`repro.views.manager.
+PlanCache` owns both paths — its removal walk, and the fallback
+("targeted recomputation": only the plan subtree reading the touched
+relation is re-executed, against cached siblings).
 
 A note on staleness in the join/intersect rules: the ``L`` operand may
 be the *old* or the *new* left cache — both are sound.  With the old

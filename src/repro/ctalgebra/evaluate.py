@@ -68,6 +68,7 @@ from .operators import (
 )
 
 __all__ = [
+    "apply_node",
     "evaluate_ct",
     "evaluate_ct_analyzed",
     "evaluate_ct_database",
@@ -221,13 +222,16 @@ def _eval(node: RAExpression, db: TableDatabase, optimized: bool, observe=None) 
         node = node.as_select_product()
     inputs = [_eval(child, db, optimized, observe) for child in node.children()]
     if observe is None:
-        return _apply(node, inputs, db)
-    return observe(node, lambda extras: _apply(node, inputs, db, extras))
+        return apply_node(node, inputs, db)
+    return observe(node, lambda extras: apply_node(node, inputs, db, extras))
 
 
-def _apply(node: RAExpression, inputs: list, db: TableDatabase, extras=None) -> CTable:
-    """One node's lifted operator over its evaluated inputs.  ``extras``
-    receives the join's hash-partition shape (see :func:`join_ct`)."""
+def apply_node(node: RAExpression, inputs: list, db: TableDatabase, extras=None) -> CTable:
+    """One node's lifted operator over its evaluated inputs: the one
+    per-node operator dispatch, shared by :func:`_eval` and the
+    maintained plan nodes of :class:`repro.views.manager.PlanCache`.
+    ``extras`` receives the join's hash-partition shape (see
+    :func:`join_ct`)."""
     if isinstance(node, Scan):
         table = db[node.name]
         if table.arity != node.arity:

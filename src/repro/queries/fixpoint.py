@@ -2,11 +2,15 @@
 
 The paper's third query family — fixpoints of positive existential
 queries — evaluated over *conditioned* tables rather than ground
-instances, closing ROADMAP item 3.  A pure Datalog program (no ``!=``)
-compiles rule-by-rule through :func:`repro.relational.planner.ra_of_ucq`
-and the cost-based planner, and the resulting plan forest runs to a least
-fixpoint where round N's newly derived c-rows feed round N+1 through the
-insert-delta rules of :mod:`repro.ctalgebra.delta`.
+instances.  A pure Datalog program (no ``!=``) compiles rule-by-rule
+through :func:`repro.relational.planner.ra_of_ucq` and the cost-based
+planner, and the resulting plan forest runs to a least fixpoint on the
+view manager's maintained-plan engine
+(:class:`repro.views.manager.PlanCache`): every round is one insert
+walk of the pending deltas through the rule roots, so round N's newly
+derived c-rows feed round N+1 through the insert-delta rules of
+:mod:`repro.ctalgebra.delta`, against caches and join partitions kept
+from round to round.
 
 Why this is sound: every lifted operator commutes with valuations, so
 each semi-naive round commutes with ``rep`` — for any valuation ``v``,
@@ -44,9 +48,9 @@ Three layers:
 * :class:`CTFixpoint` — the compiled program: rule plans, predicate
   split (EDB/IDB), arities.  Stateless; cheap to keep around.
 * :class:`FixpointEvaluation` — one materialised fixpoint over one
-  database: the interned plan-node caches, per-predicate fact sets and
-  the round loop.  Supports *incremental re-fixpoint*: inserting base
-  rows seeds a delta and re-runs rounds from the saturated state
+  database: a plan cache over the rule bodies, per-predicate fact sets
+  and the round loop.  Supports *incremental re-fixpoint*: inserting
+  base rows seeds a delta and re-runs rounds from the saturated state
   (monotonicity makes this exact), which is what
   :class:`repro.views.ViewManager` uses to maintain recursive views.
 * :func:`naive_ct_refixpoint` — the differential-testing oracle and
@@ -55,6 +59,7 @@ Three layers:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..core.conditions import (
@@ -67,27 +72,23 @@ from ..core.conditions import (
     Conjunction,
 )
 from ..core.tables import CTable, Row, TableDatabase
-from ..ctalgebra.delta import (
+from ..ctalgebra.evaluate import evaluate_ct
+from ..relational.algebra import RAExpression, Scan
+from ..relational.planner import plan, ra_of_ucq
+from ..relational.stats import Statistics
+from .datalog import DatalogQuery
+from .rules import Rule, UCQQuery
+
+# Not called here since rounds run on the view manager's PlanCache, but
+# perfbench/spans.py wraps these names in this module, so they stay.
+from ..ctalgebra.delta import (  # noqa: F401
     delta_join,
     delta_product,
     delta_project,
     delta_select,
     delta_union,
 )
-from ..ctalgebra.evaluate import evaluate_ct
-from ..relational.algebra import (
-    Join,
-    Product,
-    Project,
-    RAExpression,
-    Scan,
-    Select,
-    Union,
-)
-from ..relational.planner import plan, plan_fingerprint, ra_of_ucq
-from ..relational.stats import Statistics
-from .datalog import DatalogQuery
-from .rules import Rule, UCQQuery
+from ..relational.planner import plan_fingerprint  # noqa: F401
 
 __all__ = [
     "CTFixpoint",
@@ -342,86 +343,60 @@ def datalog_fingerprint(program) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """One interned plan node: expression, children, cache, seen-set."""
-
-    __slots__ = ("expr", "children", "cache", "seen", "epoch", "result")
-
-    def __init__(self, expr: RAExpression, children: tuple["_Node", ...]) -> None:
-        self.expr = expr
-        self.children = children
-        arity = expr.arity
-        name = expr.name if isinstance(expr, Scan) else "cache"
-        self.cache = CTable._trusted(name, arity, (), TRUE)
-        self.seen: set[Row] = set()
-        self.epoch = -1
-        self.result: tuple[Row, ...] = ()
-
-    def absorb(self, rows: Iterable[Row]) -> tuple[Row, ...]:
-        """Append the unseen rows to the cache; return them."""
-        fresh = []
-        for row in rows:
-            if row not in self.seen:
-                self.seen.add(row)
-                fresh.append(row)
-        if fresh:
-            self.cache = self.cache.extended(fresh)
-        return tuple(fresh)
-
-
 class FixpointEvaluation:
     """A materialised fixpoint of one program over one database.
 
-    Holds the interned plan-node caches and per-predicate fact sets, so a
-    later base-table insert can re-run rounds *from the saturated state*
-    instead of recomputing — the recursive-view maintenance path.
+    The rule bodies' planned trees live in one
+    :class:`~repro.views.manager.PlanCache` — the view manager's
+    maintained-plan engine — built over a database of empty relations,
+    one per predicate, so every cache starts empty.  Round zero inserts
+    the base rows and seed facts; every round is one
+    :meth:`~repro.views.manager.PlanCache.insert_walk` of the pending
+    deltas through the rule roots, and the roots' new rows pass through
+    the per-predicate fact sets to become the next round's deltas.
+    Trees share nodes across rules by plan fingerprint, so the scans of
+    a shared relation (and any repeated subplans) keep a single cache
+    the delta rules read consistently, and join nodes keep their
+    partitions across rounds.
 
-    Plan nodes are interned across rules by
-    :func:`~repro.relational.planner.plan_fingerprint`, so the scans of a
-    shared relation (and any repeated subplans) keep a single cache the
-    delta rules read consistently.
+    The caches and fact sets stay live, so a later base-table insert can
+    re-run rounds *from the saturated state* instead of recomputing —
+    the recursive-view maintenance path.
     """
 
     def __init__(self, query: CTFixpoint, db: TableDatabase) -> None:
+        # views.manager imports this module, so the cache is imported late.
+        from ..views.manager import PlanCache
+
         query.validate_schema(db)
         self.query = query
         self.db = db
         self.rounds = 0
-        #: One dict per round: ``round`` (1-based), ``deltas`` (predicate
-        #: -> delta row count) and ``ms`` wall time.  The explain lines,
-        #: ``--explain-json`` and the server's analyze flag all read it.
+        #: One dict per round of the initial run: ``round`` (1-based),
+        #: ``deltas`` (predicate -> delta row count) and ``ms`` wall time.
+        #: The explain lines, ``--explain-json`` and the server's analyze
+        #: flag all read it; :meth:`insert_base` adds nothing to it.
         self.round_stats: list[dict] = []
         self.facts: dict[str, _FactSet] = {pred: _FactSet() for pred in query.idb}
-        self._nodes: dict[str, _Node] = {}
-        self._scans: dict[str, _Node] = {}
-        self._epoch = 0
+        empty = TableDatabase(
+            [CTable(name, arity, ()) for name, arity in query.arities.items()]
+        )
+        self.cache = PlanCache(empty, Counter())
         stats = Statistics.collect(db)
-        roots = []
-        for head, expr in query.rule_plans:
-            planned = plan(expr, stats=stats)
-            roots.append((head, self._intern(planned)))
-        self.rule_roots = tuple(roots)
-        # Relations the program reads but no rule plan scans (possible when
-        # every reading rule is a ground fact) still need a scan node so a
-        # later insert has somewhere to land.
-        for name, arity in query.arities.items():
-            if name not in self._scans:
-                self._scans[name] = self._intern(Scan(name, arity))
+        self.rule_roots = tuple(
+            (head, self.cache.intern(plan(expr, stats=stats)))
+            for head, expr in query.rule_plans
+        )
+        # Every predicate gets a scan node, even one no rule plan reads
+        # (possible when every reading rule is a ground fact), so a later
+        # insert has somewhere to land.
+        self._scans = {
+            name: self.cache.intern(Scan(name, arity))
+            for name, arity in query.arities.items()
+        }
+        for node in self.cache.nodes.values():
+            self.cache.materialize(node)
         self._seed(db)
-
-    # -- construction -------------------------------------------------------
-
-    def _intern(self, expr: RAExpression) -> _Node:
-        fingerprint = plan_fingerprint(expr)
-        node = self._nodes.get(fingerprint)
-        if node is not None:
-            return node
-        children = tuple(self._intern(child) for child in expr.children())
-        node = _Node(expr, children)
-        self._nodes[fingerprint] = node
-        if isinstance(expr, Scan):
-            self._scans[expr.name] = node
-        return node
 
     def _seed(self, db: TableDatabase) -> None:
         """Round zero: every base row and every ground fact is a delta."""
@@ -446,12 +421,17 @@ class FixpointEvaluation:
             accepted = [r for r in (self.facts[pred].add(row) for row in rows) if r]
             if accepted:
                 deltas[pred] = deltas.get(pred, ()) + tuple(accepted)
-        self._run(deltas)
+        self._run(deltas, self.round_stats)
 
     # -- the round loop -----------------------------------------------------
 
-    def _run(self, deltas: Mapping[str, tuple[Row, ...]]) -> int:
-        """Run semi-naive rounds until no delta survives; return the count."""
+    def _run(
+        self, deltas: Mapping[str, tuple[Row, ...]], record: "list | None" = None
+    ) -> int:
+        """Run semi-naive rounds until no delta survives; return the count.
+
+        Each round appends one entry to ``record`` when given.
+        """
         from time import perf_counter
 
         from ..obs.tracing import current_trace
@@ -459,6 +439,7 @@ class FixpointEvaluation:
         rounds = 0
         pending = {name: rows for name, rows in deltas.items() if rows}
         active_trace = current_trace()
+        cache = self.cache
         while pending:
             rounds += 1
             self.rounds += 1
@@ -467,9 +448,9 @@ class FixpointEvaluation:
             }
             round_start = perf_counter()
             produced: dict[str, list[Row]] = {}
-            self._epoch += 1
+            cache.begin()
             for head, root in self.rule_roots:
-                fresh = self._walk(root, pending)
+                fresh = cache.insert_walk(root, pending)[1]
                 if fresh:
                     produced.setdefault(head, []).extend(fresh)
             pending = {}
@@ -480,80 +461,15 @@ class FixpointEvaluation:
                 if accepted:
                     pending[head] = accepted
             round_ms = (perf_counter() - round_start) * 1e3
-            self.round_stats.append(
-                {"round": self.rounds, "deltas": delta_sizes, "ms": round(round_ms, 3)}
-            )
+            if record is not None:
+                record.append(
+                    {"round": self.rounds, "deltas": delta_sizes, "ms": round(round_ms, 3)}
+                )
             if active_trace is not None:
                 active_trace.add(
                     f"fixpoint.round:{self.rounds}", round_ms, **delta_sizes
                 )
         return rounds
-
-    def _walk(self, node: _Node, deltas: Mapping[str, tuple[Row, ...]]) -> tuple[Row, ...]:
-        """Propagate this round's deltas through one (shared) plan node.
-
-        Children are walked first, so every cache a delta rule reads is
-        already updated — the sound staleness choice for
-        :func:`~repro.ctalgebra.delta.delta_join` (the updated-left
-        duplicates are absorbed by the seen-sets).  Epoch memoisation
-        makes shared subplans propagate once per round.
-        """
-        if node.epoch == self._epoch:
-            return node.result
-        expr = node.expr
-        if isinstance(expr, Scan):
-            fresh = node.absorb(deltas.get(expr.name, ()))
-        else:
-            child_fresh = tuple(self._walk(child, deltas) for child in node.children)
-            if not any(child_fresh):
-                delta_rows: tuple[Row, ...] = ()
-            else:
-                delta_rows = self._delta(expr, node.children, child_fresh)
-            fresh = node.absorb(delta_rows)
-        node.epoch = self._epoch
-        node.result = fresh
-        return fresh
-
-    def _delta(
-        self,
-        expr: RAExpression,
-        children: tuple[_Node, ...],
-        child_fresh: tuple[tuple[Row, ...], ...],
-    ) -> tuple[Row, ...]:
-        def as_delta(child: _Node, rows: tuple[Row, ...]) -> CTable | None:
-            if not rows:
-                return None
-            return CTable._trusted("delta", child.expr.arity, rows, TRUE)
-
-        if isinstance(expr, Select):
-            return delta_select(as_delta(children[0], child_fresh[0]), expr.predicates).rows
-        if isinstance(expr, Project):
-            return delta_project(as_delta(children[0], child_fresh[0]), expr.columns).rows
-        if isinstance(expr, Join):
-            return delta_join(
-                children[0].cache,
-                as_delta(children[0], child_fresh[0]),
-                children[1].cache,
-                as_delta(children[1], child_fresh[1]),
-                expr.on,
-            ).rows
-        if isinstance(expr, Product):
-            return delta_product(
-                children[0].cache,
-                as_delta(children[0], child_fresh[0]),
-                children[1].cache,
-                as_delta(children[1], child_fresh[1]),
-            ).rows
-        if isinstance(expr, Union):
-            return delta_union(
-                expr.arity,
-                as_delta(children[0], child_fresh[0]),
-                as_delta(children[1], child_fresh[1]),
-            ).rows
-        # Pure Datalog compiles to scans, selections, projections, joins,
-        # products and unions only; anything else means the planner grew a
-        # rewrite this engine does not maintain.
-        raise TypeError(f"no delta rule for plan node {type(expr).__name__}")
 
     # -- results ------------------------------------------------------------
 

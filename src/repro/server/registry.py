@@ -61,16 +61,14 @@ class SessionRegistry:
         return session
 
     def open_file(
-        self, name: str, path: str, on_stale: str = "error"
+        self, name: str, path: str
     ) -> tuple[DatabaseSession, tuple[str, ...]]:
         """Load a database file plus its view sidecar into a session.
 
-        The sidecar's stored views are re-materialized over the loaded
-        database; a digest mismatch follows ``on_stale`` — the default
-        refuses to start with an explicit error (the stale-read path is
-        dead), ``"refresh"`` re-materializes with a notice, ``"skip"``
-        drops the stale views from the session.  Returns the session and
-        the stale view names.
+        The sidecar's views are re-materialized from their rule text over
+        the loaded database; their stored tables are never read.  Returns
+        the session and the names of the views whose stored digest did
+        not match the file (re-materialized like the rest).
         """
         from ..views import ViewError
         from ..views.persist import file_digest, load_registry
@@ -85,7 +83,7 @@ class SessionRegistry:
             name, db, source_path=path, source_format=source_format
         )
         try:
-            stale = session.adopt_views(registry, digest, on_stale=on_stale)
+            stale = session.adopt_views(registry, digest)
         except ViewError as exc:
             raise SessionError(str(exc)) from exc
         with self._lock:

@@ -337,19 +337,19 @@ class DatabaseSession:
                 raise SessionError(str(exc)) from exc
             self._publish(self._snapshot.db, self._snapshot.version)
 
-    def adopt_views(self, registry: dict, digest: "str | None", on_stale: str = "error"):
+    def adopt_views(self, registry: dict, digest: "str | None"):
         """Load a sidecar view registry into this session.
 
         Delegates to :func:`repro.views.persist.manager_from_registry`
-        (re-materializing every stored view over the current database;
-        digest mismatches follow ``on_stale``) and republishes.  Returns
-        the stale view names for the caller to report.
+        (re-materializing every stored view over the current database)
+        and republishes.  Returns the names of the views whose stored
+        digest did not match, for the caller to report.
         """
         from ..views.persist import manager_from_registry
 
         with self._write_lock:
             snap = self._snapshot
-            manager, stale = manager_from_registry(registry, snap.db, digest, on_stale=on_stale)
+            manager, stale = manager_from_registry(registry, snap.db, digest)
             self._views = manager
             self._publish(snap.db, snap.version)
             return stale

@@ -7,21 +7,22 @@ views, evaluates them once through the cost-based planner, and maintains
 them incrementally as the update operators of
 :mod:`repro.extensions.updates` mutate the database — insert deltas
 propagate through cached plan trees via the rules in
-:mod:`repro.ctalgebra.delta`; deletes/modifies (and inserts under a
+:mod:`repro.ctalgebra.delta`, deletes that purely remove rows propagate
+as removal deltas, and condition-rewriting deletes (and inserts under a
 difference's right side) trigger targeted recomputation of just the
 affected subtree.  See :mod:`repro.views.manager` for the full contract
 and ``docs/architecture.md`` for the lifecycle.
 
 :mod:`repro.views.persist` is the sidecar registry shared by the CLI
 (``repro view ...``) and the server (``repro serve``): one on-disk
-format, loaded and saved through one module, with digest mismatches an
-explicit :class:`StaleViewRegistryError` rather than a stale read.
+format, loaded and saved through one module.  Its stored tables are
+read only where their file digest matches; the server re-materializes
+every stored view from its rule text.
 """
 
 from .manager import ViewError, ViewManager
 from .persist import (
     RegistryFormatError,
-    StaleViewRegistryError,
     load_registry,
     manager_from_registry,
     manager_to_registry,
@@ -32,7 +33,6 @@ __all__ = [
     "ViewManager",
     "ViewError",
     "RegistryFormatError",
-    "StaleViewRegistryError",
     "load_registry",
     "save_registry",
     "manager_to_registry",

@@ -40,13 +40,22 @@ intermediate, maintained once per update.  Per-view dependency tracking
 (the set of relations a view reads) makes updates to unrelated relations
 free.
 
+The cached nodes and the walks over them are one engine,
+:class:`PlanCache`: interning, materialization, the insert walk over a
+``{relation: rows}`` delta map, the removal walk, maintained join
+partitions and term counts.  :class:`ViewManager` keeps every view's
+tree in one cache and adds what is view-specific: the registry,
+dependency tracking, recursive views, counters and the log.  The
+semi-naive engine (:class:`~repro.queries.fixpoint.FixpointEvaluation`)
+runs each of its rounds as an insert walk over a cache of its own.
+
 Recursive (Datalog) programs register through :meth:`ViewManager.
 define_datalog`: the view holds a live
 :class:`~repro.queries.fixpoint.FixpointEvaluation`, so inserts maintain
 it by *incremental re-fixpoint* — the inserted row seeds a delta and
-semi-naive rounds resume from the saturated caches — while deletions and
-modifications re-fixpoint from scratch (no sound removal delta exists
-for a fixpoint; see :class:`_RecursiveView`).
+semi-naive rounds resume from the saturated caches and partitions —
+while deletions and modifications re-fixpoint from scratch (see
+:class:`_RecursiveView`).
 
 The manager plugs into the mutation path of
 :mod:`repro.extensions.updates`: ``insert_fact(db, ..., views=manager)``
@@ -68,8 +77,9 @@ import threading
 
 from collections import Counter
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Mapping
 
+from ..core.conditions import TRUE
 from ..core.tables import CTable, Row, TableDatabase
 from ..core.terms import as_constant
 from ..ctalgebra.delta import (
@@ -81,16 +91,17 @@ from ..ctalgebra.delta import (
     delta_select,
     delta_union,
 )
+from ..ctalgebra.evaluate import apply_node
 from ..ctalgebra.operators import (
     JoinPartition,
-    difference_ct,
-    intersect_ct,
     join_ct,
-    product_ct,
     project_ct,
     select_ct,
-    union_ct,
 )
+
+# Not called here since nodes materialize through apply_node, but
+# perfbench/spans.py wraps these names in this module, so they stay.
+from ..ctalgebra.operators import difference_ct, intersect_ct, product_ct, union_ct  # noqa: F401
 from ..relational.algebra import (
     Difference,
     Intersect,
@@ -107,7 +118,7 @@ from ..queries.fixpoint import CTFixpoint, datalog_fingerprint
 from ..relational.planner import plan, plan_fingerprint, ra_of_ucq
 from ..relational.stats import Statistics
 
-__all__ = ["ViewManager", "ViewError"]
+__all__ = ["PlanCache", "ViewManager", "ViewError"]
 
 #: Per-epoch walk results: nothing changed / rows appended / node rebuilt.
 _NONE = ("none", ())
@@ -120,17 +131,17 @@ class ViewError(ValueError):
 
 
 class _PlanNode:
-    """One node of a planned view tree, with its cached materialization.
+    """One node of a planned tree, with its cached materialization.
 
-    Nodes are interned per manager by :func:`plan_fingerprint`, so views
-    whose planned trees overlap share both the node and its cache.
+    Nodes are interned per :class:`PlanCache` by :func:`plan_fingerprint`,
+    so trees that overlap share both the node and its cache.
     ``seen`` mirrors ``cache.rows`` as a set, making delta appends and
-    removals O(delta); ``counts`` maps each term tuple of the cache to
-    how many of its rows carry it (rows with equal terms differ in their
-    conditions), with no zero entries — the soundness guard of the
-    join removal delta reads it; ``epoch``/``result`` memoise the
-    per-update walk so a shared node does maintenance work once per
-    update, not once per dependent view.
+    removals O(delta); ``counts`` is ``None`` until the soundness guard
+    of the join removal delta first reads it, then maps each term tuple
+    of the cache to how many of its rows carry it (rows with equal terms
+    differ in their conditions), with no zero entries;
+    ``epoch``/``result`` memoise the per-pass walk so a shared node does
+    its work once per update (or fixpoint round), not once per root.
 
     ``partitions`` holds, for Join/Product nodes, the maintained
     :class:`~repro.ctalgebra.operators.JoinPartition` of each child's
@@ -155,7 +166,7 @@ class _PlanNode:
         self.relations = frozenset(expr.relation_names())
         self.cache: CTable | None = None
         self.seen: set[Row] = set()
-        self.counts: Counter = Counter()
+        self.counts: Counter | None = None
         self.epoch = -1
         self.result = _NONE
         self.partitions: dict[int, JoinPartition] = {}
@@ -184,8 +195,10 @@ class _RecursiveView:
     base-table inserts re-run semi-naive rounds from the saturated
     caches (exact, because Datalog is monotone); deletions and
     modifications discard the evaluation and re-fixpoint from scratch —
-    the recursive analogue of targeted recomputation, since a rewritten
-    base-row condition invalidates every round that consumed it.
+    the recursive analogue of targeted recomputation, since a removed
+    or rewritten base row may have fed every round after it (a fact set
+    merges derivations under subsumption, so its rows carry no trace of
+    which base rows they came from).
     ``source_fingerprint`` is a :func:`~repro.queries.fixpoint.
     datalog_fingerprint`, disjoint from plan fingerprints, so UCQ view
     matching never collides with recursive programs.
@@ -227,12 +240,9 @@ class ViewManager:
     LOG_LIMIT = 50
 
     def __init__(self, db: TableDatabase) -> None:
-        self._db = db
         #: Reentrant; every public entry point below acquires it.
         self.lock = threading.RLock()
         self._views: dict[str, _View] = {}
-        self._nodes: dict[str, _PlanNode] = {}
-        self._epoch = 0
         self.last_maintenance: list[str] = []
         # A CounterGroup *is* a dict (existing readers index it and copy
         # it unchanged); the thread-safe snapshot() additionally feeds
@@ -252,6 +262,8 @@ class ViewManager:
                 "refixpoint_recomputes",
             )
         )
+        #: Every UCQ view's planned tree, nodes shared across views.
+        self._cache = PlanCache(db, self.counters)
 
     # -- registry ------------------------------------------------------------
 
@@ -266,14 +278,14 @@ class ViewManager:
 
     @property
     def database(self) -> TableDatabase:
-        return self._db
+        return self._cache.db
 
     @property
     def subplan_count(self) -> int:
         """How many distinct plan nodes (cached subplans) are live —
         views sharing subtrees share nodes, so this is less than the sum
         of per-view tree sizes when sharing happens."""
-        return len(self._nodes)
+        return len(self._cache.nodes)
 
     def define(self, name: str, query: "str | RAExpression") -> CTable:
         """Register and materialize a view; returns the materialization.
@@ -291,18 +303,19 @@ class ViewManager:
                 source = self._compile(query)
             else:
                 source = query
-            planned = plan(source, stats=Statistics.collect(self._db))
+            cache = self._cache
+            planned = plan(source, stats=Statistics.collect(cache.db))
             # Transactional: a failure while materializing (unknown relation,
             # arity mismatch) must not leave freshly-interned, partially
             # cached nodes behind — no view would own them, so notifications
             # would never maintain them and a later define() sharing a
             # fingerprint would silently reuse the stale cache.
-            nodes_before = dict(self._nodes)
-            root = self._intern(planned)
+            nodes_before = dict(cache.nodes)
+            root = cache.intern(planned)
             try:
-                self._materialize(root)
+                cache.materialize(root)
             except Exception:
-                self._nodes = nodes_before
+                cache.nodes = nodes_before
                 raise
             view = _View(name, query_text, source, planned, root)
             self._views[name] = view
@@ -341,7 +354,7 @@ class ViewManager:
                     f"predicate of the program (have {sorted(compiled.idb)})"
                 )
             try:
-                evaluation = compiled.evaluation(self._db)
+                evaluation = compiled.evaluation(self._cache.db)
             except ValueError as exc:
                 raise ViewError(f"cannot materialize recursive view: {exc}") from exc
             self._views[name] = _RecursiveView(
@@ -383,8 +396,8 @@ class ViewManager:
             live: dict[str, _PlanNode] = {}
             for view in self._views.values():
                 if isinstance(view, _View):
-                    live.update(self._collect(view.root))
-            self._nodes = live
+                    live.update(self._cache.collect(view.root))
+            self._cache.nodes = live
 
     def get(self, name: str) -> CTable:
         """The current materialization of a view, as a c-table bearing the
@@ -447,14 +460,14 @@ class ViewManager:
                         "refresh(name=..., db=...) would leave every other view "
                         "stale against the new database; rebind with db= alone"
                     )
-                self._db = db
-            self._epoch += 1
+                self._cache.db = db
+            self._cache.begin()
             views = [self._view(name)] if name is not None else list(self._views.values())
             for view in views:
                 if isinstance(view, _RecursiveView):
                     self._refixpoint(view)
                 else:
-                    self._refresh_walk(view.root)
+                    self._cache.refresh_walk(view.root)
 
     # -- mutation notifications ----------------------------------------------
 
@@ -472,7 +485,7 @@ class ViewManager:
                 if isinstance(view, _RecursiveView):
                     self._recursive_insert(view, relation, row)
                 else:
-                    self._insert_walk(view.root, relation, row)
+                    self._cache.insert_walk(view.root, {relation: (row,)})
             self._log_delta(relation, "insert into", affected, before)
 
     def notify_delete(
@@ -500,7 +513,7 @@ class ViewManager:
                     # consumed it, so re-fixpoint from scratch.
                     self._refixpoint(view)
                 else:
-                    self._delete_walk(view.root, relation, dropped, rewritten)
+                    self._cache.delete_walk(view.root, relation, dropped, rewritten)
             removed = self.counters["removed_rows"] - before["removed_rows"]
             recomputed = self.counters["recomputed_nodes"] - before["recomputed_nodes"]
             refixpoints = (
@@ -514,7 +527,7 @@ class ViewManager:
                 nodes: dict[str, _PlanNode] = {}
                 for view in affected:
                     if isinstance(view, _View):
-                        nodes.update(self._collect(view.root))
+                        nodes.update(self._cache.collect(view.root))
                 line += (
                     f", {recomputed} node(s) recomputed, "
                     f"{max(len(nodes) - recomputed, 0)} cached subplan(s) reused"
@@ -577,81 +590,15 @@ class ViewManager:
     def _refixpoint(self, view: _RecursiveView) -> None:
         """Recompute a recursive view from scratch over the current
         database (the delete/modify/refresh fallback)."""
-        view.evaluation = view.program.evaluation(self._db)
+        view.evaluation = view.program.evaluation(self._cache.db)
         view.cache = view.evaluation.table(view.output, name=view.name)
         self.counters["refixpoint_recomputes"] += 1
 
-    def _intern(self, expr: RAExpression) -> _PlanNode:
-        fingerprint = plan_fingerprint(expr)
-        node = self._nodes.get(fingerprint)
-        if node is not None:
-            return node
-        children = [self._intern(child) for child in expr.children()]
-        node = _PlanNode(expr, fingerprint, children)
-        self._nodes[fingerprint] = node
-        return node
-
-    def _collect(self, root: _PlanNode) -> dict[str, _PlanNode]:
-        out: dict[str, _PlanNode] = {}
-
-        def walk(node: _PlanNode) -> None:
-            if node.fingerprint in out:
-                return
-            out[node.fingerprint] = node
-            for child in node.children:
-                walk(child)
-
-        walk(root)
-        return out
-
-    def _materialize(self, node: _PlanNode) -> None:
-        if node.cache is not None:
-            return
-        for child in node.children:
-            self._materialize(child)
-        self._rebuild(node)
-
-    def _rebuild(self, node: _PlanNode) -> None:
-        """(Re)compute a node from the database / its children's caches."""
-        node.cache = self._apply(node)
-        node.seen = set(node.cache.rows)
-        node.counts = Counter(map(attrgetter("terms"), node.cache.rows))
-        # A rebuild means the children's caches changed in ways the walk
-        # results don't describe; any maintained partitions are stale.
-        node.partitions.clear()
-
-    def _apply(self, node: _PlanNode) -> CTable:
-        expr = node.expr
-        if isinstance(expr, Scan):
-            table = self._db[expr.name]
-            if table.arity != expr.arity:
-                raise ValueError(
-                    f"scan of {expr.name!r} expects arity {expr.arity}, "
-                    f"table has {table.arity}"
-                )
-            return table
-        tables = [child.cache for child in node.children]
-        if isinstance(expr, Select):
-            return select_ct(tables[0], expr.predicates, name="subplan")
-        if isinstance(expr, Project):
-            return project_ct(tables[0], expr.columns, name="subplan")
-        if isinstance(expr, Join):
-            return join_ct(tables[0], tables[1], expr.on, name="subplan")
-        if isinstance(expr, Product):
-            return product_ct(tables[0], tables[1], name="subplan")
-        if isinstance(expr, Union):
-            return union_ct(tables[0], tables[1], name="subplan")
-        if isinstance(expr, Intersect):
-            return intersect_ct(tables[0], tables[1], name="subplan")
-        if isinstance(expr, Difference):
-            return difference_ct(tables[0], tables[1], name="subplan")
-        raise TypeError(f"unknown RA node: {expr!r}")
-
     def _begin(self, relation: str, db: TableDatabase, verb: str) -> list[_View]:
-        """Shared notification prologue: rebind the database, bump the
-        epoch, and find the dependent views."""
-        self._db = db
-        self._epoch += 1
+        """Shared notification prologue: rebind the database, start a
+        cache pass, and find the dependent views."""
+        self._cache.db = db
+        self._cache.begin()
         affected = [v for v in self._views.values() if relation in v.relations]
         if not affected:
             self.counters["skipped_updates"] += 1
@@ -674,23 +621,133 @@ class ViewManager:
             line += f", {recomputed} node(s) recomputed (difference fallback)"
         self._log(line)
 
-    def _append(self, node: _PlanNode, rows) -> tuple:
-        """Add genuinely-new delta rows to a node's cache; returns them.
+
+class PlanCache:
+    """Interned plan nodes with their cached materializations, and the
+    walks that keep those caches equal to a re-evaluation.
+
+    The one maintained-plan engine.  :class:`ViewManager` keeps every
+    view's planned tree in one cache over the live database;
+    :class:`~repro.queries.fixpoint.FixpointEvaluation` keeps its rule
+    bodies' trees in one cache over a database of empty relations and
+    runs each semi-naive round as one :meth:`insert_walk` of the round's
+    deltas.
+
+    * :meth:`intern` shares nodes by
+      :func:`~repro.relational.planner.plan_fingerprint`;
+      :meth:`materialize` and :meth:`rebuild` evaluate a node through
+      :func:`~repro.ctalgebra.evaluate.apply_node`, the evaluator's own
+      per-node operator dispatch.
+    * :meth:`insert_walk` propagates inserted base rows through the
+      insert-delta rules of :mod:`repro.ctalgebra.delta`,
+      :meth:`delete_walk` propagates removals through the reconstructed
+      removal deltas of :meth:`_removal_delta`, and :meth:`refresh_walk`
+      rebuilds from the database.  Each is memoised per :attr:`epoch`
+      (bumped by :meth:`begin`), so a node shared by several roots does
+      its work once per pass.
+    * Join and product nodes keep maintained partitions of their
+      children's caches (:meth:`_partition_for`); term counts are built
+      on the first removal guard that reads them (:meth:`_counts`).
+
+    ``counters`` is the caller's counter mapping; the walks add to
+    ``delta_rows``, ``delta_nodes``, ``removed_rows``,
+    ``recomputed_nodes``, ``difference_fallbacks``, ``partition_builds``
+    and ``partition_reuses``.
+    """
+
+    def __init__(self, db: TableDatabase, counters) -> None:
+        self.db = db
+        self.counters = counters
+        self.nodes: dict[str, _PlanNode] = {}
+        self.epoch = 0
+
+    def begin(self) -> None:
+        """Start a new pass: every node walks afresh."""
+        self.epoch += 1
+
+    def intern(self, expr: RAExpression) -> _PlanNode:
+        fingerprint = plan_fingerprint(expr)
+        node = self.nodes.get(fingerprint)
+        if node is not None:
+            return node
+        children = [self.intern(child) for child in expr.children()]
+        node = _PlanNode(expr, fingerprint, children)
+        self.nodes[fingerprint] = node
+        return node
+
+    @staticmethod
+    def collect(root: _PlanNode) -> dict[str, _PlanNode]:
+        """Every node of one tree, shared ones once, by fingerprint."""
+        out: dict[str, _PlanNode] = {}
+
+        def walk(node: _PlanNode) -> None:
+            if node.fingerprint in out:
+                return
+            out[node.fingerprint] = node
+            for child in node.children:
+                walk(child)
+
+        walk(root)
+        return out
+
+    def materialize(self, node: _PlanNode) -> None:
+        if node.cache is not None:
+            return
+        for child in node.children:
+            self.materialize(child)
+        self.rebuild(node)
+
+    def rebuild(self, node: _PlanNode) -> None:
+        """(Re)compute a node from the database / its children's caches."""
+        node.cache = apply_node(node.expr, [child.cache for child in node.children], self.db)
+        node.seen = set(node.cache.rows)
+        node.counts = None
+        # A rebuild means the children's caches changed in ways the walk
+        # results don't describe; any maintained partitions are stale.
+        node.partitions.clear()
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    @staticmethod
+    def _delta_table(node: _PlanNode, rows: tuple) -> CTable:
+        """A walk result's rows as a delta operand.  They come out of a
+        seen-set (or the update's report), so they are already distinct."""
+        return CTable._trusted("delta", node.expr.arity, rows, TRUE)
+
+    @staticmethod
+    def _counts(node: _PlanNode) -> Counter:
+        """The node's term counts, built from its cache on first use and
+        kept in step with it afterwards."""
+        if node.counts is None:
+            node.counts = Counter(map(attrgetter("terms"), node.cache.rows))
+        return node.counts
+
+    @staticmethod
+    def _absorb(node: _PlanNode, rows) -> tuple:
+        """Add the rows not yet cached to a node's cache; returns them.
 
         Deduplicates within ``rows`` as well as against ``seen`` — the
         updated-left join delta emits each ``dL >< dR`` pair from both
         of its terms, and a union delta repeats a row derivable from
         both branches; the cache must stay a set either way.
         """
+        seen = node.seen
         fresh: list[Row] = []
         for row in rows:
-            if row not in node.seen:
-                node.seen.add(row)
-                node.counts[row.terms] += 1
+            if row not in seen:
+                seen.add(row)
                 fresh.append(row)
         new = tuple(fresh)
         if new:
             node.cache = node.cache.extended(new)
+            if node.counts is not None:
+                node.counts.update(map(attrgetter("terms"), new))
+        return new
+
+    def _append(self, node: _PlanNode, rows) -> tuple:
+        """:meth:`_absorb` an operator node's delta rows, counted."""
+        new = self._absorb(node, rows)
+        if new:
             self.counters["delta_rows"] += len(new)
             self.counters["delta_nodes"] += 1
         return new
@@ -715,10 +772,13 @@ class ViewManager:
 
     @staticmethod
     def _forget(node: _PlanNode, rows) -> None:
-        """Take rows that left a node's cache out of its ``seen`` and
-        ``counts``; a term tuple whose count reaches 0 leaves the map."""
+        """Take rows that left a node's cache out of its ``seen`` and, once
+        built, its ``counts``; a term tuple whose count reaches 0 leaves
+        the map."""
         node.seen.difference_update(rows)
         counts = node.counts
+        if counts is None:
+            return
         for row in rows:
             left = counts[row.terms] - 1
             if left:
@@ -742,7 +802,8 @@ class ViewManager:
         self.counters["partition_builds"] += 1
         return part
 
-    def _sync_partitions(self, node: _PlanNode, results) -> None:
+    @staticmethod
+    def _sync_partitions(node: _PlanNode, results) -> None:
         """Mirror the children's walk results into any maintained
         partitions, keeping them equal to the (just updated) child
         caches.  A result the walk cannot mirror drops the partition;
@@ -761,46 +822,50 @@ class ViewManager:
     def _recompute_node(self, node: _PlanNode):
         """Targeted fallback: rebuild one node from its (already updated)
         children caches and poison the additive path upward."""
-        self._rebuild(node)
+        self.rebuild(node)
         self.counters["recomputed_nodes"] += 1
         node.result = _RECOMPUTE
         return node.result
 
-    def _insert_walk(self, node: _PlanNode, relation: str, row: Row):
-        """Propagate an insert delta through one node.
+    # -- the walks -----------------------------------------------------------
 
-        Returns ``("none", ())`` (nothing changed), ``("delta", rows)``
-        (rows were appended to the cache), or ``("recompute", ())`` (the
-        node was rebuilt — ancestors must rebuild too).  Memoised per
-        epoch so shared subplans do the work once per update.
+    def insert_walk(self, node: _PlanNode, deltas: Mapping[str, tuple]):
+        """Propagate inserted base rows through one node.
+
+        ``deltas`` maps each touched relation to its inserted rows: one
+        row for a view update, a whole round's new facts for a fixpoint.
+        A scan appends the rows it has not seen (an idempotent re-insert
+        leaves ``rep`` unchanged); every other node combines its
+        children's results with their caches by the delta rule of its
+        operator.  Returns ``("none", ())`` (nothing changed),
+        ``("delta", rows)`` (rows were appended to the cache), or
+        ``("recompute", ())`` (the node was rebuilt — ancestors must
+        rebuild too).  Only a difference whose right side gained rows
+        rebuilds; a fixpoint plan holds scans, selections, projections,
+        joins, products and unions only, so its walks never do.
         """
-        if node.epoch == self._epoch:
+        if node.epoch == self.epoch:
             return node.result
-        node.epoch = self._epoch
-        if relation not in node.relations:
+        node.epoch = self.epoch
+        if node.relations.isdisjoint(deltas):
             node.result = _NONE
             return _NONE
         expr = node.expr
 
         if isinstance(expr, Scan):
-            node.cache = self._db[expr.name]
-            if row in node.seen:
-                node.result = _NONE  # idempotent re-insert: rep unchanged
-            else:
-                node.seen.add(row)
-                node.counts[row.terms] += 1
-                node.result = ("delta", (row,))
+            new = self._absorb(node, deltas[expr.name])
+            node.result = ("delta", new) if new else _NONE
             return node.result
 
         if isinstance(expr, (Select, Project)):
             child = node.children[0]
-            child_result = self._insert_walk(child, relation, row)
+            child_result = self.insert_walk(child, deltas)
             if child_result[0] == "recompute":
                 return self._recompute_node(node)
             if child_result[0] == "none":
                 node.result = _NONE
                 return _NONE
-            delta_in = CTable("delta", child.cache.arity, child_result[1])
+            delta_in = self._delta_table(child, child_result[1])
             if isinstance(expr, Select):
                 delta = delta_select(delta_in, expr.predicates)
             else:
@@ -811,22 +876,18 @@ class ViewManager:
 
         left, right = node.children
         left_before = left.cache  # the pre-update cache unless already walked
-        right_result = self._insert_walk(right, relation, row)
-        left_result = self._insert_walk(left, relation, row)
+        right_result = self.insert_walk(right, deltas)
+        left_result = self.insert_walk(left, deltas)
         if left_result[0] == "recompute" or right_result[0] == "recompute":
             return self._recompute_node(node)
         if left_result[0] == "none" and right_result[0] == "none":
             node.result = _NONE
             return _NONE
         left_delta = (
-            CTable("delta", left.cache.arity, left_result[1])
-            if left_result[0] == "delta"
-            else None
+            self._delta_table(left, left_result[1]) if left_result[0] == "delta" else None
         )
         right_delta = (
-            CTable("delta", right.cache.arity, right_result[1])
-            if right_result[0] == "delta"
-            else None
+            self._delta_table(right, right_result[1]) if right_result[0] == "delta" else None
         )
 
         if isinstance(expr, (Join, Product)):
@@ -865,17 +926,17 @@ class ViewManager:
                 self.counters["difference_fallbacks"] += 1
                 return self._recompute_node(node)
             delta = delta_difference(left_delta, right.cache)
-        else:  # pragma: no cover - _apply already rejects unknown nodes
+        else:  # pragma: no cover - apply_node already rejects unknown nodes
             raise TypeError(f"unknown RA node: {expr!r}")
 
         new = self._append(node, delta.rows)
         node.result = ("delta", new) if new else _NONE
         return node.result
 
-    def _delete_walk(self, node: _PlanNode, relation: str, dropped: tuple, rewritten: bool):
+    def delete_walk(self, node: _PlanNode, relation: str, dropped: tuple, rewritten: bool):
         """Propagate a deletion through one node.
 
-        Like :meth:`_insert_walk` but for removals.  The scan takes the
+        Like :meth:`insert_walk` but for removals.  The scan takes the
         update's report (``dropped`` rows, ``rewritten`` flag) instead of
         diffing tables.  When the base delete purely removed rows (and
         the per-operator guards of :meth:`_removal_delta` hold), the rows
@@ -885,9 +946,9 @@ class ViewManager:
         any failure degrades to targeted recomputation of this node
         (children are already up to date), never the whole tree.
         """
-        if node.epoch == self._epoch:
+        if node.epoch == self.epoch:
             return node.result
-        node.epoch = self._epoch
+        node.epoch = self.epoch
         if relation not in node.relations:
             node.result = _NONE
             return _NONE
@@ -896,17 +957,17 @@ class ViewManager:
                 # A condition was strengthened in place: no removal delta
                 # exists.  Re-reading the table is a cache swap, not a
                 # recomputation — the counter reports the ancestors.
-                self._rebuild(node)
+                self.rebuild(node)
                 node.result = _RECOMPUTE
             elif dropped:
-                node.cache = self._db[node.expr.name]
+                node.cache = self.db[node.expr.name]
                 self._forget(node, dropped)
                 node.result = ("removed", dropped)
             else:
                 node.result = _NONE  # the deletion matched nothing
             return node.result
         results = [
-            self._delete_walk(child, relation, dropped, rewritten) for child in node.children
+            self.delete_walk(child, relation, dropped, rewritten) for child in node.children
         ]
         if all(result[0] == "none" for result in results):
             node.result = _NONE
@@ -953,13 +1014,13 @@ class ViewManager:
         expr = node.expr
         if isinstance(expr, Select):
             child = node.children[0]
-            removed = CTable("delta", child.cache.arity, results[0][1])
+            removed = self._delta_table(child, results[0][1])
             return tuple(select_ct(removed, expr.predicates, name="delta").rows)
         if isinstance(expr, Project):
             child = node.children[0]
             if set(expr.columns) != set(range(child.cache.arity)):
                 return None  # a merging projection: derivations may collide
-            removed = CTable("delta", child.cache.arity, results[0][1])
+            removed = self._delta_table(child, results[0][1])
             return tuple(project_ct(removed, expr.columns, name="delta").rows)
         if isinstance(expr, (Join, Product)):
             (left, right), (lres, rres) = node.children, results
@@ -967,9 +1028,10 @@ class ViewManager:
                 return None  # a self-join on the touched relation
             affected, sibling = (left, right) if lres[0] == "removed" else (right, left)
             removed_rows = (lres if lres[0] == "removed" else rres)[1]
-            if any(affected.counts[row.terms] for row in removed_rows):
+            counts = self._counts(affected)
+            if any(counts[row.terms] for row in removed_rows):
                 return None  # a survivor shares terms: derivations may collide
-            removed = CTable("delta", affected.cache.arity, removed_rows)
+            removed = self._delta_table(affected, removed_rows)
             on = expr.on if isinstance(expr, Join) else ()
             # The sibling's cache is unchanged by this update (its walk
             # result was "none"), so its maintained partition — built
@@ -1002,11 +1064,12 @@ class ViewManager:
         # history-dependent (see docstring) — recompute.
         return None
 
-    def _refresh_walk(self, node: _PlanNode) -> None:
-        if node.epoch == self._epoch:
+    def refresh_walk(self, node: _PlanNode) -> None:
+        """Rebuild one tree from the database, children first."""
+        if node.epoch == self.epoch:
             return
-        node.epoch = self._epoch
+        node.epoch = self.epoch
         for child in node.children:
-            self._refresh_walk(child)
-        self._rebuild(node)
+            self.refresh_walk(child)
+        self.rebuild(node)
         node.result = _RECOMPUTE

@@ -16,15 +16,12 @@ and converts both ways between a registry dict and a live manager:
   current materialization), stamped with the :func:`file_digest` (sha256
   of the file's bytes) of the database file they were computed against;
 * :func:`manager_from_registry` rebuilds a manager by re-defining every
-  stored view over a given database.  When the caller supplies the
-  current file digest and a stored view was materialized against a
-  *different* database, the default is an **explicit**
-  :class:`StaleViewRegistryError` — never a silent stale read.  Callers
-  that can do better opt in: ``on_stale="refresh"`` re-materializes
-  against the new database (what ``repro serve`` does at startup, with a
-  notice), ``on_stale="skip"`` loads only the fresh views (what ``repro
-  eval --use-views`` wants: a stale view falls back to base-table
-  evaluation).
+  stored view over a given database.  It never reads the stored tables,
+  so a view materialized against a *different* database is simply
+  re-materialized; given the current file digest it also names those
+  stale views, which ``repro serve`` prints as a notice at startup.
+  The readers of stored tables (``repro eval --use-views``, ``repro view
+  list``) compare digests themselves and never answer from a stale one.
 
 The registry format is unchanged from the earlier CLI-private sidecar
 (``{"kind": "view-registry", "views": {name: {"query", "digest",
@@ -45,7 +42,6 @@ from .manager import ViewError, ViewManager
 __all__ = [
     "REGISTRY_KIND",
     "RegistryFormatError",
-    "StaleViewRegistryError",
     "registry_path",
     "file_digest",
     "empty_registry",
@@ -60,20 +56,6 @@ REGISTRY_KIND = "view-registry"
 
 class RegistryFormatError(ViewError):
     """The sidecar file exists but is not a readable view registry."""
-
-
-class StaleViewRegistryError(ViewError):
-    """Stored views were materialized against a different database.
-
-    Raised (instead of silently serving the stale materializations) when
-    :func:`manager_from_registry` is given the current database digest
-    and a stored view's digest does not match.  ``stale`` names the
-    offending views.
-    """
-
-    def __init__(self, message: str, stale: tuple[str, ...]) -> None:
-        super().__init__(message)
-        self.stale = stale
 
 
 def registry_path(db_path: str) -> str:
@@ -178,7 +160,6 @@ def manager_from_registry(
     registry: dict,
     db: TableDatabase,
     digest: str | None = None,
-    on_stale: str = "error",
 ) -> tuple[ViewManager, tuple[str, ...]]:
     """Rebuild a live :class:`ViewManager` from a registry dict.
 
@@ -189,32 +170,17 @@ def manager_from_registry(
     :func:`manager_to_registry`'s) to guarantee.
 
     ``digest`` is the current digest of the database source; when given,
-    stored views stamped with a different digest are handled per
-    ``on_stale``: ``"error"`` (default) raises
-    :class:`StaleViewRegistryError` naming them, ``"refresh"``
-    re-materializes them against ``db`` anyway, ``"skip"`` leaves them
-    out of the manager.  Returns ``(manager, stale_names)`` so callers
-    can report what was refreshed or skipped.
+    the stored views stamped with a different digest are returned as
+    ``stale_names`` — re-materialized like every other view, so callers
+    can report what was refreshed.  Returns ``(manager, stale_names)``.
     """
-    if on_stale not in ("error", "refresh", "skip"):
-        raise ValueError(f"unknown on_stale policy {on_stale!r}")
     views = registry.get("views", {})
     stale = tuple(
         name
         for name, entry in sorted(views.items())
         if digest is not None and entry.get("digest") != digest
     )
-    if stale and on_stale == "error":
-        raise StaleViewRegistryError(
-            f"view(s) {', '.join(map(repr, stale))} were materialized against "
-            "a different version of the database (digest mismatch); refusing "
-            "the stale materializations — run `repro view refresh` or load "
-            "with an explicit stale policy",
-            stale,
-        )
     manager = ViewManager(db)
     for name, entry in sorted(views.items()):
-        if name in stale and on_stale == "skip":
-            continue
         manager.define_text(name, entry["query"])
     return manager, stale

@@ -35,6 +35,7 @@ from repro.relational.parser import parse_datalog
 from repro.views import ViewError, ViewManager
 from repro.views.persist import manager_from_registry, manager_to_registry
 from repro.workloads import (
+    layered_uncertain_graph,
     transitive_closure_program,
     uncertain_graph_database,
     update_stream,
@@ -146,6 +147,54 @@ class TestMaintainedRecursiveViews:
             if r.terms == (Constant(0), Constant(2))
         ]
         assert long_rows and all(r.has_local_condition() for r in long_rows)
+
+
+class TestStandingEvaluation:
+    """A standing view's evaluation across incremental inserts."""
+
+    LAYERS, WIDTH = 4, 3
+
+    def _standing(self):
+        db = layered_uncertain_graph(random.Random(3), layers=self.LAYERS, width=self.WIDTH)
+        present = {tuple(t.value for t in row.terms) for row in db["edge"].rows}
+        fresh = [
+            (layer * self.WIDTH + s, (layer + 1) * self.WIDTH + d)
+            for layer in range(self.LAYERS - 1)
+            for s in range(self.WIDTH)
+            for d in range(self.WIDTH)
+        ]
+        fresh = [edge for edge in fresh if edge not in present][:6]
+        manager = ViewManager(db)
+        manager.define_datalog("TC", TC)
+        return db, manager, [tuple(Constant(v) for v in edge) for edge in fresh]
+
+    def test_round_stats_record_only_the_initial_run(self):
+        db, manager, edges = self._standing()
+        evaluation = manager._views["TC"].evaluation
+        defined = len(evaluation.round_stats)
+        assert defined == evaluation.rounds > 0
+        for edge in edges:
+            db = apply_update(db, ("insert", "edge", edge), views=manager)
+        assert manager._views["TC"].evaluation is evaluation
+        assert manager.counters["refixpoint_rounds"] > 0
+        assert len(evaluation.round_stats) == defined
+        # ``rounds`` stays cumulative.
+        assert evaluation.rounds == defined + manager.counters["refixpoint_rounds"]
+        assert_view_matches(manager, "TC", TC, db)
+
+    def test_join_partitions_survive_inserts(self):
+        db, manager, edges = self._standing()
+        evaluation = manager._views["TC"].evaluation
+        counters = evaluation.cache.counters
+        builds = counters["partition_builds"]
+        assert builds > 0
+        for edge in edges:
+            reuses = counters["partition_reuses"]
+            db = apply_update(db, ("insert", "edge", edge), views=manager)
+            assert counters["partition_builds"] == builds
+            assert counters["partition_reuses"] > reuses
+        assert manager.counters["refixpoint_recomputes"] == 0
+        assert_view_matches(manager, "TC", TC, db)
 
 
 def conditions(variables):

@@ -299,7 +299,7 @@ class TestSessionPersistence:
         result = reloaded.query("W(X, Z) :- R(X, Y), R(Y, Z).", use_views=True)
         assert result.answered_by_view == "V"
 
-    def test_stale_sidecar_is_an_explicit_error(self, tmp_path):
+    def test_stale_sidecar_refresh_policy_rematerializes(self, tmp_path):
         registry = SessionRegistry()
         path = self.make_file(tmp_path)
         session, _ = registry.open_file("g", path)
@@ -308,27 +308,13 @@ class TestSessionPersistence:
         # The database file changes behind the sidecar's back.
         with open(path, "a", encoding="utf-8") as fp:
             fp.write('"c" "d"\n')
-        with pytest.raises(SessionError, match="digest mismatch"):
-            SessionRegistry().open_file("g", path)
-
-    def test_stale_sidecar_refresh_policy_rematerializes(self, tmp_path):
-        registry = SessionRegistry()
-        path = self.make_file(tmp_path)
-        session, _ = registry.open_file("g", path)
-        session.define_view("V(X, Z) :- R(X, Y), R(Y, Z).")
-        session.persist()
-        with open(path, "a", encoding="utf-8") as fp:
-            fp.write('"c" "d"\n')
-        reloaded, stale = SessionRegistry().open_file("g", path, on_stale="refresh")
+        reloaded, stale = SessionRegistry().open_file("g", path)
         assert stale == ("V",)
         # Re-materialized over the *current* file, not the stale table.
         assert row_values(reloaded.snapshot().view_table("V")) == {
             ("a", "c"),
             ("b", "d"),
         }
-        skipped, stale = SessionRegistry().open_file("g2", path, on_stale="skip")
-        assert stale == ("V",)
-        assert skipped.info()["views"] == []
 
 
 class TestSessionRegistry:
