@@ -28,6 +28,10 @@ Runs standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_dp_ordering.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_dp_ordering.py --quick  # CI smoke
+
+The last line is ``BENCH_JSON {...}`` with the star's dp/greedy time
+ratio at the acceptance size (``dp_greedy_ratio``, held to
+``greedy_tolerance``), so CI can report the gate's margin.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
+import json
 import random
 import sys
 import time
@@ -118,7 +123,8 @@ def _left_deep_expression(order):
     return Project(Select(expr, predicates), restore)
 
 
-def run_star(sizes, fact_rows, acceptance, repeat: int, seed: int) -> int:
+def run_star(sizes, fact_rows, acceptance, repeat: int, seed: int, report: dict) -> int:
+    """The star section; records the acceptance size's figures in ``report``."""
     acceptance_size, floor = acceptance
     expression = star_join_expression(NUM_DIMS)
     print("== star: DP vs greedy vs left-deep input order ==")
@@ -153,6 +159,14 @@ def run_star(sizes, fact_rows, acceptance, repeat: int, seed: int) -> int:
             f"  {dp_time * 1e3:>8.2f}ms  {speedup:>9.1f}x"
         )
         if size == acceptance_size:
+            report.update(
+                dim_rows=size,
+                dp_ms=round(dp_time * 1e3, 3),
+                greedy_ms=round(greedy_time * 1e3, 3),
+                dp_greedy_ratio=round(dp_time / greedy_time, 3),
+                greedy_tolerance=GREEDY_TOLERANCE,
+                dp_speedup=round(speedup, 2),
+            )
             if speedup < floor:
                 print(
                     f"  !! dp speedup {speedup:.1f}x at dim_rows={size} is below "
@@ -268,9 +282,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     star_sizes, star_fact_rows, star_acceptance = QUICK_STAR if args.quick else FULL_STAR
     snowflake_params, snowflake_floor = QUICK_SNOWFLAKE if args.quick else FULL_SNOWFLAKE
-    failures = run_star(star_sizes, star_fact_rows, star_acceptance, args.repeat, args.seed)
+    report: dict = {}
+    failures = run_star(
+        star_sizes, star_fact_rows, star_acceptance, args.repeat, args.seed, report
+    )
     failures += run_snowflake(snowflake_params, snowflake_floor, args.repeat, args.seed)
     failures += run_amortisation(snowflake_params, AMORTISE_QUERIES, args.seed)
+    print("BENCH_JSON " + json.dumps(report, sort_keys=True))
     return 1 if failures else 0
 
 

@@ -12,20 +12,25 @@ snapshot databases and statistics to reader processes over
 ``multiprocessing`` pipes, which makes round-tripping a requirement.
 Two mechanisms cover it:
 
-* Terms and conditions memoise their hash at construction, and
+* Terms, conditions and rows memoise their hash at construction, and
   :class:`~repro.core.conditions.Conjunction` is hash-consed.  They
-  pickle through ``__reduce__`` to their constructor, so the receiving
-  process — which may draw a different string-hash seed — recomputes
-  every hash and re-interns every conjunction.  Shipping a memoised
-  hash would leave an object equal to a freshly built twin yet missing
-  from a set of them.
-* Rows, tables, databases and statistics carry no hash memo and use
+  pickle through ``__reduce__``, so the receiving process — which may
+  draw a different string-hash seed — recomputes every hash and
+  re-interns every conjunction.  Shipping a memoised hash would leave
+  an object equal to a freshly built twin yet missing from a set of
+  them.  Terms and conditions reduce to their constructor; a row
+  reduces to ``repro.core.tables._row``, which rebuilds it through
+  :meth:`~repro.core.tables.Row._trusted`: its parts arrive already
+  coerced, so only the hash is recomputed.
+* Tables, databases and statistics carry no hash memo and use
   :func:`pickles_by_slots`, a class decorator installing
   ``__getstate__``/``__setstate__`` that collect every *set* slot across
   the MRO and restore them with ``object.__setattr__``, bypassing the
   guard exactly the way ``__init__`` does.  Unset slots (lazily
   populated memos such as a table's statistics) are skipped on save
-  and simply stay unset on load.  ``__init__`` is never re-run, so no
+  and simply stay unset on load, and so are the slots a class names in
+  ``_transient_slots`` (a table's join partitions, which cost as much
+  to ship as to rebuild).  ``__init__`` is never re-run, so no
   validation is repeated.
 """
 
@@ -48,7 +53,10 @@ def _slot_names(cls) -> tuple[str, ...]:
 
 def _getstate(self) -> dict:
     state = {}
+    transient = getattr(self, "_transient_slots", ())
     for slot in _slot_names(type(self)):
+        if slot in transient:
+            continue
         try:
             state[slot] = getattr(self, slot)
         except AttributeError:

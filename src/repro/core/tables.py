@@ -63,28 +63,57 @@ def _as_bool_condition(condition) -> BoolCondition:
     raise TypeError(f"not a condition: {condition!r}")
 
 
-@pickles_by_slots
-class Row:
-    """One tuple of a c-table: terms plus a local condition."""
+def _row(terms: tuple, condition: BoolCondition) -> "Row":
+    """Unpickle a :class:`Row`: its parts arrive already checked, and
+    :meth:`Row._trusted` recomputes the hash under this process's seed."""
+    return Row._trusted(terms, condition)
 
-    __slots__ = ("terms", "condition")
+
+class Row:
+    """One tuple of a c-table: terms plus a local condition.
+
+    A row memoises its hash, like the terms and conditions it holds.
+    """
+
+    __slots__ = ("terms", "condition", "_hash")
 
     def __init__(self, terms: Iterable, condition=None) -> None:
-        object.__setattr__(self, "terms", tuple(as_term(t) for t in terms))
-        object.__setattr__(self, "condition", _as_bool_condition(condition))
+        terms = tuple(as_term(t) for t in terms)
+        condition = _as_bool_condition(condition)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "_hash", hash((terms, condition)))
+
+    @classmethod
+    def _trusted(cls, terms: "tuple[Term, ...]", condition: BoolCondition) -> "Row":
+        """Construct without coercion: the caller guarantees ``terms`` is a
+        tuple of :class:`Term` objects and ``condition`` a
+        :class:`BoolCondition` — the c-table operators' outputs, the
+        fixpoint's stored facts and unpickling."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "terms", terms)
+        object.__setattr__(row, "condition", condition)
+        object.__setattr__(row, "_hash", hash((terms, condition)))
+        return row
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Row is immutable")
 
+    def __reduce__(self):
+        return (_row, (self.terms, self.condition))
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Row)
+            and self._hash == other._hash
             and self.terms == other.terms
             and self.condition == other.condition
         )
 
     def __hash__(self) -> int:
-        return hash((self.terms, self.condition))
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(map(str, self.terms))
@@ -125,7 +154,11 @@ class Row:
 class CTable:
     """A conditioned table: rows, local conditions and a global condition."""
 
-    __slots__ = ("name", "arity", "rows", "global_condition", "_stats")
+    __slots__ = ("name", "arity", "rows", "global_condition", "_stats", "_partitions")
+
+    #: Memo slots :func:`~repro.core.pickling.pickles_by_slots` leaves out:
+    #: a process that receives the table rebuilds them on first use.
+    _transient_slots = ("_partitions",)
 
     def __init__(
         self,
@@ -240,10 +273,15 @@ class CTable:
         The single audited escape hatch from the constructor's
         invariants: the caller guarantees ``rows`` is a tuple of
         pairwise-distinct :class:`Row` objects of arity ``arity``.  Used
-        by :meth:`extended` and the view-maintenance layer
+        by :meth:`extended`; the view-maintenance layer
         (:mod:`repro.views`), whose caches track row sets explicitly and
         would otherwise pay an O(table) re-validation per O(delta)
-        change.
+        change; the fixpoint (:mod:`repro.queries.fixpoint`), whose fact
+        sets hold distinct rows; and the renames that name a result
+        without copying it — an answer served from a view
+        (:mod:`repro.queries.prepared`) and the evaluator's result
+        (:mod:`repro.ctalgebra.evaluate`), whose operator outputs are
+        already deduplicated.
         """
         table = cls.__new__(cls)
         object.__setattr__(table, "name", name)
@@ -278,7 +316,8 @@ class CTable:
         builds a new table with an empty memo, and
         :meth:`TableDatabase.replacing` shares every untouched table —
         memo included.  No lock: a lost race collects the same value
-        twice.  The memo pickles with the table.
+        twice.  The memo pickles with the table (see
+        :meth:`join_partition` for the memo that does not).
         """
         try:
             return self._stats
@@ -293,6 +332,31 @@ class CTable:
     def has_stats(self) -> bool:
         """Whether :meth:`stats` is already memoised."""
         return hasattr(self, "_stats")
+
+    def join_partition(self, columns: "tuple[int, ...]"):
+        """This table's :class:`~repro.ctalgebra.operators.JoinPartition`
+        on the join columns ``columns``, memoised per column tuple.
+
+        :func:`~repro.ctalgebra.operators.join_ct` reads it for an operand
+        it is given no partition for, so a table joined by every read is
+        classified once per value, not once per read.  The partition is
+        shared and must never be mutated: incremental maintenance builds
+        and mutates its own.  No lock: a lost race classifies the rows
+        twice and keeps one equal partition.  The memo is not pickled
+        (:attr:`_transient_slots`); it costs as much to ship as to
+        rebuild.
+        """
+        try:
+            memo = self._partitions
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_partitions", memo)
+        part = memo.get(columns)
+        if part is None:
+            from ..ctalgebra.operators import JoinPartition
+
+            part = memo.setdefault(columns, JoinPartition(self, columns))
+        return part
 
     # -- classification ------------------------------------------------------------
 

@@ -94,6 +94,8 @@ def delta_join(
     *,
     left_partition=None,
     right_partition=None,
+    left_delta_partition=None,
+    right_delta_partition=None,
 ) -> CTable:
     """Insert delta of an equi-join: ``(L >< dR) ∪ (dL >< R')``.
 
@@ -103,21 +105,29 @@ def delta_join(
 
     ``left_partition`` / ``right_partition`` optionally supply
     maintained :class:`~repro.ctalgebra.operators.JoinPartition` objects
-    for the two *cached* operands (never the deltas), so a small delta
-    skips re-partitioning the big side it joins against.  A supplied
+    for the two *cached* operands, so a small delta skips
+    re-partitioning the big side it joins against.  A supplied
     partition must mirror the corresponding operand's **updated** row
     set — which is why ``left`` with a partition means the updated left
     cache, the sound choice per the module docstring.
+    ``left_delta_partition`` / ``right_delta_partition`` optionally
+    supply the deltas' partitions, as
+    :meth:`~repro.ctalgebra.operators.JoinPartition.add_rows` returns
+    them when it files the same rows into a maintained partition.
     """
     parts = []
     if right_delta is not None and right_delta.rows:
         parts.extend(
-            join_ct(left, right_delta, on, name="delta", left_partition=left_partition).rows
+            join_ct(
+                left, right_delta, on, name="delta",
+                left_partition=left_partition, right_partition=right_delta_partition,
+            ).rows
         )
     if left_delta is not None and left_delta.rows:
         parts.extend(
             join_ct(
-                left_delta, right_new, on, name="delta", right_partition=right_partition
+                left_delta, right_new, on, name="delta",
+                left_partition=left_delta_partition, right_partition=right_partition,
             ).rows
         )
     return CTable("delta", left.arity + right_new.arity, parts)
@@ -128,21 +138,12 @@ def delta_product(
     left_delta: CTable | None,
     right_new: CTable,
     right_delta: CTable | None,
-    *,
-    left_partition=None,
-    right_partition=None,
+    **partitions,
 ) -> CTable:
     """Insert delta of a product: the join rule with no columns (a join
-    on no pairs puts every row in one bucket — exactly the product)."""
-    return delta_join(
-        left,
-        left_delta,
-        right_new,
-        right_delta,
-        (),
-        left_partition=left_partition,
-        right_partition=right_partition,
-    )
+    on no pairs puts every row in one bucket — exactly the product).
+    ``partitions`` are :func:`delta_join`'s."""
+    return delta_join(left, left_delta, right_new, right_delta, (), **partitions)
 
 
 def delta_union(

@@ -86,7 +86,7 @@ def evaluate_ct(expression: RAExpression, db: TableDatabase, name: str = "view")
     :func:`evaluate_ct_database` when building a full view database.
     """
     table = _eval(expression, db, optimized=False)
-    return CTable(name, table.arity, table.rows, table.global_condition)
+    return CTable._trusted(name, table.arity, table.rows, table.global_condition)
 
 
 def evaluate_ct_optimized(
@@ -101,7 +101,7 @@ def evaluate_ct_optimized(
     ``rep`` of the result equals ``rep`` of the naive result.
     """
     table = _eval(plan(expression), db, optimized=True)
-    return CTable(name, table.arity, table.rows, table.global_condition)
+    return CTable._trusted(name, table.arity, table.rows, table.global_condition)
 
 
 def evaluate_ct_ordered(
@@ -181,7 +181,8 @@ def evaluate_ct_planned(
             plan_ms=plan_ms,
             total_ms=(time.perf_counter() - start) * 1e3,
         )
-    return CTable(name, table.arity, table.rows, table.global_condition), planned, analysis
+    result = CTable._trusted(name, table.arity, table.rows, table.global_condition)
+    return result, planned, analysis
 
 
 def evaluate_ct_database(

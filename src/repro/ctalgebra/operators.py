@@ -95,19 +95,35 @@ def _with_condition(terms: tuple, parts: list[BoolCondition]) -> Row | None:
             continue
         flat.append(part)
     if not flat:
-        return Row(terms)
-    return Row(terms, BoolAnd(tuple(flat)).flattened())
+        return Row._trusted(terms, BOOL_TRUE)
+    return Row._trusted(terms, BoolAnd(tuple(flat)).flattened())
 
 
 def select_ct(table: CTable, predicates: Iterable[Predicate], name: str | None = None) -> CTable:
-    """Selection: push each predicate into the local conditions."""
+    """Selection: push each predicate into the local conditions.
+
+    A column-vs-constant predicate on a :class:`Constant` cell is decided
+    without building its atom, which would be trivially true or false:
+    the row survives it exactly when the cell equals (``ColEqConst``) or
+    differs from (``ColNeqConst``) the constant, by :class:`Constant`
+    equality, so ``Constant(1)`` neither equals ``Constant("1")`` nor
+    ``Constant(True)``.
+    """
     preds = list(predicates)
     rows = []
     for row in table.rows:
+        terms = row.terms
         parts: list[BoolCondition] = [row.condition]
         dead = False
         for predicate in preds:
-            atom = _predicate_atom(predicate, row.terms)
+            if isinstance(predicate, (ColEqConst, ColNeqConst)):
+                cell = terms[predicate.column]
+                if isinstance(cell, Constant):
+                    if (cell == predicate.constant) != isinstance(predicate, ColEqConst):
+                        dead = True
+                        break
+                    continue
+            atom = _predicate_atom(predicate, terms)
             if atom.is_trivially_false():
                 dead = True
                 break
@@ -115,7 +131,7 @@ def select_ct(table: CTable, predicates: Iterable[Predicate], name: str | None =
                 parts.append(BoolAtom(atom))
         if dead:
             continue
-        built = _with_condition(row.terms, parts)
+        built = _with_condition(terms, parts)
         if built is not None:
             rows.append(built)
     return CTable(name or table.name, table.arity, rows, table.global_condition)
@@ -128,7 +144,8 @@ def project_ct(table: CTable, columns: Sequence[int], name: str | None = None) -
         if not 0 <= col < table.arity:
             raise ValueError(f"projection column {col} out of range")
     rows = [
-        Row(tuple(row.terms[c] for c in cols), row.condition) for row in table.rows
+        Row._trusted(tuple([row.terms[c] for c in cols]), row.condition)
+        for row in table.rows
     ]
     return CTable(name or table.name, len(cols), rows, table.global_condition)
 
@@ -174,14 +191,18 @@ class JoinPartition:
     ground-row cost (``benchmarks/bench_join_planner.py`` guards the
     gap).  Domain pins (a small ``Or`` of constants) stay wild.
 
-    :func:`join_ct` builds a fresh partition per call; incremental view
-    maintenance keeps one per cached operand in sync with
-    :meth:`add_rows` / :meth:`remove_rows` and passes it back through
-    ``left_partition`` / ``right_partition``, so a one-row insert does
-    not re-partition the big cached side.  Classification is
-    deterministic per row, so a removal finds the row where its
-    insertion put it.  :func:`join_ct` trusts a supplied partition and
-    never looks at the operand's rows.
+    :func:`join_ct` reads an operand's memoised partition
+    (:meth:`CTable.join_partition <repro.core.tables.CTable.join_partition>`),
+    which nothing mutates; incremental view maintenance builds its own
+    per cached operand, keeps it in sync with :meth:`add_rows` /
+    :meth:`remove_rows` and passes it back through ``left_partition`` /
+    ``right_partition``, so a one-row insert does not re-partition the
+    big cached side.  :meth:`add_rows` also returns a partition of just
+    the added rows, the delta operand of the next join, so each delta
+    row is classified once.  Classification is deterministic per row,
+    so a removal finds the row where its insertion put it.
+    :func:`join_ct` trusts a supplied partition and never looks at the
+    operand's rows.
     """
 
     __slots__ = ("columns", "buckets", "wild", "alive", "_base_equalities", "_base_pins")
@@ -193,7 +214,7 @@ class JoinPartition:
         self.buckets: dict[tuple, list[Row]] = {}
         self.wild: list[Row] = []
         self.alive: list[Row] = []
-        self.add_rows(table.rows)
+        self._file(table.rows)
 
     def __repr__(self) -> str:
         return (
@@ -220,7 +241,7 @@ class JoinPartition:
             return resolved
         return None
 
-    def add_rows(self, rows: Iterable[Row]) -> None:
+    def _file(self, rows: Iterable[Row]) -> None:
         # Bound locals: this loop runs once per operand row of every join.
         classify, alive, wild, buckets = self._classify, self.alive, self.wild, self.buckets
         for row in rows:
@@ -232,6 +253,22 @@ class JoinPartition:
                 wild.append(row)
             else:
                 buckets.setdefault(key, []).append(row)
+
+    def add_rows(self, rows: Iterable[Row]) -> "JoinPartition":
+        """Add rows not yet held; returns a partition of just those rows,
+        classified once for both (with this partition's columns and
+        table pins)."""
+        added = JoinPartition.__new__(JoinPartition)
+        added.columns = self.columns
+        added._base_equalities = self._base_equalities
+        added._base_pins = self._base_pins
+        added.buckets, added.wild, added.alive = {}, [], []
+        added._file(rows)
+        self.alive.extend(added.alive)
+        self.wild.extend(added.wild)
+        for key, bucket in added.buckets.items():
+            self.buckets.setdefault(key, []).extend(bucket)
+        return added
 
     def remove_rows(self, rows: Iterable[Row]) -> None:
         """Remove rows previously added; unknown rows are ignored (a dead
@@ -291,13 +328,19 @@ def join_ct(
     For the fully-ground c-tables produced by typical workloads the wild
     lists are short and the hash path dominates.
 
-    ``left_partition`` / ``right_partition`` supply a pre-built
-    :class:`JoinPartition` for the corresponding side (its ``columns``
-    must equal that side's join columns); the side's rows are then taken
-    from the partition — which the caller keeps in sync with the operand
-    — and the O(side) re-partitioning is skipped.  The view-maintenance
-    layer uses this so a small delta against a big cached operand costs
-    O(delta + matches), not O(cached operand).
+    A side given no partition is read through its table's memo
+    (:meth:`~repro.core.tables.CTable.join_partition`), so a base table
+    joined on every read is partitioned once per version.
+    ``left_partition`` / ``right_partition`` supply a
+    :class:`JoinPartition` for the corresponding side instead (its
+    ``columns`` must equal that side's join columns); the side's rows
+    are then taken from the partition — which the caller keeps in sync
+    with the operand.  The view-maintenance layer uses this so a small
+    delta against a big cached operand costs O(delta + matches), not
+    O(cached operand).
+
+    A pair whose join terms are both constants is decided by comparing
+    them: their equality atom would be trivially true or false.
 
     ``instrument``, if given, receives the hash-partition shape
     (``left_buckets``/``right_buckets`` bucket counts and
@@ -305,22 +348,22 @@ def join_ct(
     ANALYZE reports.  The default ``None`` costs one identity check.
     """
     pairs = validate_join_columns(on, left.arity, right.arity)
-    lcols = [l for l, _ in pairs]
-    rcols = [r for _, r in pairs]
+    lcols = tuple([l for l, _ in pairs])
+    rcols = tuple([r for _, r in pairs])
 
     if left_partition is None:
-        left_partition = JoinPartition(left, lcols)
-    elif left_partition.columns != tuple(lcols):
+        left_partition = left.join_partition(lcols)
+    elif left_partition.columns != lcols:
         raise ValueError(
             f"left partition is over columns {left_partition.columns}, "
-            f"join needs {tuple(lcols)}"
+            f"join needs {lcols}"
         )
     if right_partition is None:
-        right_partition = JoinPartition(right, rcols)
-    elif right_partition.columns != tuple(rcols):
+        right_partition = right.join_partition(rcols)
+    elif right_partition.columns != rcols:
         raise ValueError(
             f"right partition is over columns {right_partition.columns}, "
-            f"join needs {tuple(rcols)}"
+            f"join needs {rcols}"
         )
     lbuckets, lwild = left_partition.buckets, left_partition.wild
     rbuckets, rwild, ralive = (
@@ -338,14 +381,18 @@ def join_ct(
     rows: list[Row] = []
 
     def emit(lrow: Row, rrow: Row) -> None:
+        lterms, rterms = lrow.terms, rrow.terms
         parts: list[BoolCondition] = [lrow.condition, rrow.condition]
         for l, r in pairs:
-            eq = Eq(lrow.terms[l], rrow.terms[r])
-            if eq.is_trivially_false():
-                return
+            a, b = lterms[l], rterms[r]
+            if isinstance(a, Constant) and isinstance(b, Constant):
+                if a != b:
+                    return
+                continue
+            eq = Eq(a, b)
             if not eq.is_trivially_true():
                 parts.append(BoolAtom(eq))
-        built = _with_condition(lrow.terms + rrow.terms, parts)
+        built = _with_condition(lterms + rterms, parts)
         if built is not None:
             rows.append(built)
 

@@ -45,10 +45,25 @@ Round-trip guarantee: ``loads_database(dumps_database(db)) == db`` whenever
 every local condition is a plain conjunction (every hand-written c-table);
 query-produced boolean trees round-trip up to DNF normalisation, which
 preserves ``rep``.
+
+Sealed files
+------------
+A database file cut short at a line boundary still parses — as a
+smaller database.  ``dumps_database(db, seal=True)`` (what a file-backed
+server session persists) therefore opens with a ``%sealed`` line and
+ends with ``%digest sha256 HEX``, the SHA-256 of the UTF-8 text before
+that line.  :func:`loads_database` verifies every ``%digest`` line
+against the text before it and requires one after ``%sealed``, so a
+sealed file cut short anywhere (no proper prefix of ``%sealed`` is a
+directive either), or changed above its digest line, is a
+:class:`TextFormatError`, not an answer.  Rows appended after the
+digest line parse as usual; to edit above it by hand, delete both
+lines.  Hand-written files need neither.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import IO
 
 from ..core.conditions import (
@@ -313,12 +328,22 @@ def _parse_global(text: str, line: int) -> Conjunction:
 # ---------------------------------------------------------------------------
 
 
-def dumps_database(db: TableDatabase, *, header: str | None = None) -> str:
-    """Serialise a :class:`TableDatabase` to the text notation."""
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dumps_database(
+    db: TableDatabase, *, header: str | None = None, seal: bool = False
+) -> str:
+    """Serialise a :class:`TableDatabase` to the text notation; ``seal``
+    adds the opening ``%sealed`` and closing ``%digest`` lines of a
+    sealed file."""
     lines: list[str] = []
     if header:
         for row in header.splitlines():
             lines.append(f"# {row}".rstrip())
+    if seal:
+        lines.append("%sealed")
     lines.append("%database")
     if db.extra_condition() != TRUE:
         lines.append(f"%condition {_format_conjunction(db.extra_condition())}")
@@ -332,11 +357,31 @@ def dumps_database(db: TableDatabase, *, header: str | None = None) -> str:
             if row.has_local_condition():
                 cells += f" :: {format_condition(row.condition)}"
             lines.append(cells)
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if seal:
+        text += f"%digest sha256 {_digest(text)}\n"
+    return text
+
+
+def _check_digest(text: str, lineno: int, line: str) -> None:
+    """Verify a ``%digest sha256 HEX`` line against the text before it."""
+    fields = line.split()
+    if len(fields) != 3 or fields[1] != "sha256":
+        raise TextFormatError(f"expected '%digest sha256 HEX', got {line!r}", lineno)
+    before = "".join(text.splitlines(keepends=True)[: lineno - 1])
+    if _digest(before) != fields[2]:
+        raise TextFormatError(
+            "content digest mismatch: the text before this line was cut short "
+            "or changed after it was written (delete the %sealed and %digest "
+            "lines to accept a hand edit)",
+            lineno,
+        )
 
 
 def loads_database(text: str) -> TableDatabase:
-    """Parse the text notation back into a :class:`TableDatabase`."""
+    """Parse the text notation back into a :class:`TableDatabase`,
+    verifying a sealed file's digest (see the module docstring)."""
+    sealed = digested = False
     extra = TRUE
     tables: list[CTable] = []
     current_name: str | None = None
@@ -359,6 +404,13 @@ def loads_database(text: str) -> TableDatabase:
         stripped = line.strip()
         if stripped.startswith("%database"):
             saw_database = True
+            continue
+        if stripped == "%sealed":
+            sealed = True
+            continue
+        if stripped.startswith("%digest"):
+            _check_digest(text, lineno, stripped)
+            digested = True
             continue
         if stripped.startswith("%condition"):
             extra = _parse_global(stripped[len("%condition"):], lineno)
@@ -402,6 +454,10 @@ def loads_database(text: str) -> TableDatabase:
     finish_table(0)
     if not saw_database and not tables:
         raise TextFormatError("not a database file (no %database / %table)")
+    if sealed and not digested:
+        raise TextFormatError(
+            "sealed database file has no closing %digest line: it was cut short"
+        )
     return TableDatabase(tables, extra)
 
 

@@ -216,7 +216,7 @@ class _FactSet:
                 verdict = self._subsumes[pair] = _dnf_subsumes(existing_dnf, dnf)
             if verdict:
                 return None
-        new_row = Row(row.terms, condition)
+        new_row = Row._trusted(row.terms, condition)
         bucket.append((new_row, dnf))
         self.count += 1
         return new_row

@@ -85,7 +85,7 @@ from .algebra import (
     Select,
     Union,
 )
-from .stats import CardEstimate, Statistics, estimate, join_estimate
+from .stats import CardEstimate, Statistics, estimate, join_estimate, join_rows
 
 __all__ = [
     "plan",
@@ -566,26 +566,49 @@ def _placed_column(
 class _SubPlan:
     """A memoised DP entry: the best plan found for one leaf subset.
 
-    ``offsets`` maps each member leaf's index to the base column of that
-    leaf inside ``tree``'s output; ``label`` is the human-readable shape
-    (with per-subplan row estimates) used by explain output.
+    ``cost`` is the cumulative estimated cardinality of the plan's
+    intermediates, ``est`` its output estimate, ``arity`` its output
+    width, and ``offsets`` maps each member leaf's index to the base
+    column of that leaf in its output.  A leaf entry holds its
+    expression in ``leaf``; a join entry holds the two entries it joins
+    (``left``, ``right``) and the column ``pairs`` between them.  The
+    :class:`Join` tree and the explain label are built from those only
+    for the final plan (:meth:`tree`, :meth:`label`).
     """
 
-    __slots__ = ("cost", "est", "tree", "offsets", "label")
+    __slots__ = ("cost", "est", "arity", "offsets", "leaf", "left", "right", "pairs")
 
     def __init__(
         self,
         cost: float,
         est: CardEstimate,
-        tree: RAExpression,
+        arity: int,
         offsets: dict[int, int],
-        label: str,
+        leaf: RAExpression | None = None,
+        left: "_SubPlan | None" = None,
+        right: "_SubPlan | None" = None,
+        pairs: list[tuple[int, int]] | None = None,
     ) -> None:
         self.cost = cost
         self.est = est
-        self.tree = tree
+        self.arity = arity
         self.offsets = offsets
-        self.label = label
+        self.leaf = leaf
+        self.left = left
+        self.right = right
+        self.pairs = pairs
+
+    def tree(self) -> RAExpression:
+        if self.leaf is not None:
+            return self.leaf
+        return Join(self.left.tree(), self.right.tree(), self.pairs)
+
+    def label(self) -> str:
+        """The human-readable shape, with per-subplan row estimates."""
+        if self.leaf is not None:
+            return _leaf_label(self.leaf)
+        separator = " >< " if self.pairs else " x "
+        return f"({self.left.label()}{separator}{self.right.label()} ~{self.est.rows:.0f})"
 
 
 def _join_graph_components(n: int, local_edges) -> list[list[int]]:
@@ -632,7 +655,7 @@ def _rebuild_dp(
 
     def cross_pairs(left: _SubPlan, right: _SubPlan) -> list[tuple[int, int]]:
         """Join-edge column pairs crossing from ``left``'s to ``right``'s
-        leaves, as (left tree column, right tree column)."""
+        leaves, as (left output column, right output column)."""
         pairs = []
         for (li, lc), (ri, rc) in local_edges:
             if li in left.offsets and ri in right.offsets:
@@ -641,25 +664,19 @@ def _rebuild_dp(
                 pairs.append((left.offsets[ri] + rc, right.offsets[li] + lc))
         return pairs
 
-    def combine(left: _SubPlan, right: _SubPlan, pairs) -> _SubPlan:
-        est = join_estimate(left.est, right.est, pairs)
-        shift = left.tree.arity
+    def combine(left: _SubPlan, right: _SubPlan, pairs, rows=None) -> _SubPlan:
+        est = join_estimate(left.est, right.est, pairs, rows)
+        cost = left.cost + right.cost + est.rows
         offsets = dict(left.offsets)
         for leaf, offset in right.offsets.items():
-            offsets[leaf] = offset + shift
-        separator = " >< " if pairs else " x "
-        label = f"({left.label}{separator}{right.label} ~{est.rows:.0f})"
+            offsets[leaf] = offset + left.arity
         return _SubPlan(
-            left.cost + right.cost + est.rows,
-            est,
-            Join(left.tree, right.tree, pairs),
-            offsets,
-            label,
+            cost, est, left.arity + right.arity, offsets, left=left, right=right, pairs=pairs
         )
 
     def best_component_plan(members: list[int]) -> _SubPlan:
         best: dict[int, _SubPlan] = {
-            1 << i: _SubPlan(0.0, estimates[i], leaves[i][0], {i: 0}, _leaf_label(leaves[i][0]))
+            1 << i: _SubPlan(0.0, estimates[i], leaves[i][0].arity, {i: 0}, leaf=leaves[i][0])
             for i in members
         }
         component_mask = 0
@@ -674,7 +691,9 @@ def _rebuild_dp(
         masks.sort(key=lambda m: (m.bit_count(), m))
         for mask in masks:
             low = mask & -mask
-            winner: _SubPlan | None = None
+            # Each split is costed by its row count alone; only the
+            # winner gets an estimate and offsets.
+            winner = None
             s1 = (mask - 1) & mask
             while s1:
                 # Each unordered split once: keep the lowest leaf on the left.
@@ -683,12 +702,13 @@ def _rebuild_dp(
                     if p1 is not None and p2 is not None:
                         pairs = cross_pairs(p1, p2)
                         if pairs:
-                            candidate = combine(p1, p2, pairs)
-                            if winner is None or candidate.cost < winner.cost:
-                                winner = candidate
+                            rows = join_rows(p1.est, p2.est, pairs)
+                            cost = p1.cost + p2.cost + rows
+                            if winner is None or cost < winner[0]:
+                                winner = (cost, p1, p2, pairs, rows)
                 s1 = (s1 - 1) & mask
             if winner is not None:
-                best[mask] = winner
+                best[mask] = combine(*winner[1:])
         return best[component_mask]
 
     components = _join_graph_components(len(leaves), local_edges)
@@ -699,9 +719,9 @@ def _rebuild_dp(
         total = combine(total, nxt, [])
 
     if explain is not None:
-        explain.append(f"join order: {total.label}")
+        explain.append(f"join order: {total.label()}")
 
-    return _restore_columns(total.tree, owner, total.offsets)
+    return _restore_columns(total.tree(), owner, total.offsets)
 
 
 # ---------------------------------------------------------------------------

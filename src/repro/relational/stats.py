@@ -93,6 +93,7 @@ __all__ = [
     "CardEstimate",
     "estimate",
     "join_estimate",
+    "join_rows",
     "DEFAULT_ROWS",
     "DEFAULT_DISTINCT",
     "DEFAULT_HISTOGRAM_BUCKETS",
@@ -713,8 +714,8 @@ class CardEstimate:
         hists: Sequence[ColumnHistogram | None] | None = None,
     ) -> None:
         object.__setattr__(self, "rows", max(0.0, float(rows)))
-        object.__setattr__(self, "distinct", tuple(float(d) for d in distinct))
-        object.__setattr__(self, "wild", tuple(float(w) for w in wild))
+        object.__setattr__(self, "distinct", tuple(map(float, distinct)))
+        object.__setattr__(self, "wild", tuple(map(float, wild)))
         if hists is None:
             hists = (None,) * len(self.distinct)
         object.__setattr__(self, "hists", tuple(hists))
@@ -854,12 +855,14 @@ def _join_column_selectivity(
     return min(1.0, common + rest_l * rest_r * base)
 
 
-def join_estimate(
+def join_rows(
     left: CardEstimate,
     right: CardEstimate,
     on: Sequence[tuple[int, int]],
-) -> CardEstimate:
-    """Estimate ``Join(left, right, on)``.
+) -> float:
+    """The estimated row count of ``Join(left, right, on)`` — what
+    :func:`join_estimate` puts in its ``rows``, without the per-column
+    shape, for costing a candidate join.
 
     Ground rows meet the other side's ground rows at the per-column rate
     of :func:`_join_column_selectivity` (histogram MCV mass exact,
@@ -868,8 +871,8 @@ def join_estimate(
     *every* row on the other side.  With no ``on`` pairs this degenerates
     to the product estimate.
     """
-    wild_l = max((left.wild[l] for l, _ in on), default=0.0)
-    wild_r = max((right.wild[r] for _, r in on), default=0.0)
+    wild_l = max([left.wild[l] for l, _ in on], default=0.0)
+    wild_r = max([right.wild[r] for _, r in on], default=0.0)
     wild_l = min(wild_l, left.rows)
     wild_r = min(wild_r, right.rows)
     ground_l = left.rows - wild_l
@@ -885,8 +888,21 @@ def join_estimate(
         + wild_r * left.rows
         - wild_l * wild_r  # wild-wild pairs counted once, not twice
     )
-    rows = max(rows, 0.0)
+    return max(rows, 0.0)
 
+
+def join_estimate(
+    left: CardEstimate,
+    right: CardEstimate,
+    on: Sequence[tuple[int, int]],
+    rows: float | None = None,
+) -> CardEstimate:
+    """Estimate ``Join(left, right, on)``: :func:`join_rows` rows (pass
+    them as ``rows`` when already computed), with each side's distinct
+    counts capped by them and its wild counts scaled by the fraction of
+    pairs kept."""
+    if rows is None:
+        rows = join_rows(left, right, on)
     distinct = [min(d, rows) for d in left.distinct] + [
         min(d, rows) for d in right.distinct
     ]

@@ -360,7 +360,8 @@ class DatabaseSession:
         """Write the current database and view sidecar back to disk.
 
         Only for file-backed sessions.  The database file is rewritten
-        in its original notation (text or JSON), then the view registry
+        in its original notation (text, sealed with a content digest so
+        a truncated copy cannot load; or JSON), then the view registry
         sidecar is stamped with the new file's digest — afterwards the
         file, the sidecar and this session agree, and `repro view
         list`/`repro eval --use-views` against the file see exactly the
@@ -378,7 +379,7 @@ class DatabaseSession:
         with self._write_lock:
             snap = self._snapshot
             if self.source_format == "text":
-                payload = dumps_database(snap.db)
+                payload = dumps_database(snap.db, seal=True)
             else:
                 payload = json_dumps(snap.db) + "\n"
             try:

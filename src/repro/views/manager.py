@@ -150,8 +150,11 @@ class _PlanNode:
     dimension-side one-row insert joins against the big cached fact
     side without re-partitioning it.  Partitions are per *parent* node
     (two parents joining the same child on different columns each keep
-    their own) and are dropped whenever the child's cache changes in a
-    way the walk results cannot mirror (recomputation, refresh).
+    their own), never a table's read-only
+    :meth:`~repro.core.tables.CTable.join_partition` memo, since the
+    sync mutates them; they are dropped whenever the child's cache
+    changes in a way the walk results cannot mirror (recomputation,
+    refresh).
     """
 
     __slots__ = (
@@ -803,21 +806,26 @@ class PlanCache:
         return part
 
     @staticmethod
-    def _sync_partitions(node: _PlanNode, results) -> None:
+    def _sync_partitions(node: _PlanNode, results) -> list:
         """Mirror the children's walk results into any maintained
         partitions, keeping them equal to the (just updated) child
         caches.  A result the walk cannot mirror drops the partition;
-        it will be rebuilt from the fresh cache on next use."""
+        it will be rebuilt from the fresh cache on next use.  Returns,
+        per child, the partition of just its delta rows where a
+        maintained partition classified them (``None`` elsewhere), for
+        the delta join to take instead of classifying them again."""
+        added = [None] * len(results)
         for index, (kind, rows) in enumerate(results):
             part = node.partitions.get(index)
             if part is None:
                 continue
             if kind == "delta":
-                part.add_rows(rows)
+                added[index] = part.add_rows(rows)
             elif kind == "removed":
                 part.remove_rows(rows)
             elif kind == "recompute":
                 del node.partitions[index]
+        return added
 
     def _recompute_node(self, node: _PlanNode):
         """Targeted fallback: rebuild one node from its (already updated)
@@ -898,22 +906,28 @@ class PlanCache:
             # updated cache (the partition mirrors it) — the sound
             # staleness choice per the delta-rule docstring; the extra
             # dL >< dR pairs it emits are absorbed by _append.
-            self._sync_partitions(node, (left_result, right_result))
-            left_partition = (
-                self._partition_for(node, 0) if right_delta is not None else None
+            # The delta rows a maintained partition just classified join
+            # through the partition of those rows it handed back.
+            left_added, right_added = self._sync_partitions(
+                node, (left_result, right_result)
             )
-            right_partition = (
-                self._partition_for(node, 1) if left_delta is not None else None
+            partitions = dict(
+                left_partition=(
+                    self._partition_for(node, 0) if right_delta is not None else None
+                ),
+                right_partition=(
+                    self._partition_for(node, 1) if left_delta is not None else None
+                ),
+                left_delta_partition=left_added,
+                right_delta_partition=right_added,
             )
             if isinstance(expr, Join):
                 delta = delta_join(
-                    left.cache, left_delta, right.cache, right_delta, expr.on,
-                    left_partition=left_partition, right_partition=right_partition,
+                    left.cache, left_delta, right.cache, right_delta, expr.on, **partitions
                 )
             else:
                 delta = delta_product(
-                    left.cache, left_delta, right.cache, right_delta,
-                    left_partition=left_partition, right_partition=right_partition,
+                    left.cache, left_delta, right.cache, right_delta, **partitions
                 )
         elif isinstance(expr, Union):
             delta = delta_union(expr.arity, left_delta, right_delta)

@@ -3,17 +3,20 @@
 The decision-problem oracles decide each problem straight from the
 enumeration semantics of :mod:`repro.core.worlds`; the pairwise set
 operators are the O(|L| x |R|) originals of the hash-partitioned
-``intersect_ct`` / ``difference_ct``.  They live in a proper module
+``intersect_ct`` / ``difference_ct``; ``select_ct_atoms`` and
+``join_ct_pairwise`` decide every predicate and join column through its
+condition atom, the reference for the constant fast paths of
+``select_ct`` and ``join_ct``.  They live in a proper module
 (rather than ``conftest.py``) so that test modules can import them by
 name without colliding with the benchmark suite's own ``conftest``.
 """
 
 from __future__ import annotations
 
-from repro.core.conditions import BOOL_TRUE, BoolCondition, BoolOr
+from repro.core.conditions import BOOL_TRUE, BoolAtom, BoolCondition, BoolOr, Eq
 from repro.core.tables import CTable, TableDatabase
 from repro.core.worlds import iter_worlds
-from repro.ctalgebra.operators import _match_condition, _with_condition
+from repro.ctalgebra.operators import _match_condition, _predicate_atom, _with_condition
 from repro.relational.instance import Instance
 
 __all__ = [
@@ -24,6 +27,8 @@ __all__ = [
     "oracle_certain",
     "intersect_ct_pairwise",
     "difference_ct_pairwise",
+    "select_ct_atoms",
+    "join_ct_pairwise",
 ]
 
 
@@ -132,6 +137,60 @@ def difference_ct_pairwise(left: CTable, right: CTable, name: str = "difference"
     return CTable(
         name,
         left.arity,
+        rows,
+        left.global_condition.and_also(right.global_condition),
+    )
+
+
+def _atom_parts(parts: list, atoms) -> bool:
+    """Append each atom that is not trivially true to ``parts``; False
+    when one is trivially false."""
+    for atom in atoms:
+        if atom.is_trivially_false():
+            return False
+        if not atom.is_trivially_true():
+            parts.append(BoolAtom(atom))
+    return True
+
+
+def select_ct_atoms(table: CTable, predicates, name: str | None = None) -> CTable:
+    """``select_ct`` deciding every predicate through its condition atom,
+    a column-vs-constant one on a constant cell included."""
+    preds = list(predicates)
+    rows = []
+    for row in table.rows:
+        parts: list[BoolCondition] = [row.condition]
+        if not _atom_parts(parts, [_predicate_atom(p, row.terms) for p in preds]):
+            continue
+        built = _with_condition(row.terms, parts)
+        if built is not None:
+            rows.append(built)
+    return CTable(name or table.name, table.arity, rows, table.global_condition)
+
+
+def join_ct_pairwise(left: CTable, right: CTable, on, name: str = "join") -> CTable:
+    """``join_ct`` as a loop over every live row pair, deciding each join
+    column through its ``Eq`` atom, a constant-vs-constant one included.
+
+    Its rows equal ``join_ct``'s when no condition pins a join term to a
+    constant: ``join_ct`` buckets a pinned row under its pin and skips
+    the pairs whose atom only that pin falsifies.
+    """
+    rows = []
+    for lrow in left.rows:
+        for rrow in right.rows:
+            if lrow.condition.trivially_false or rrow.condition.trivially_false:
+                continue
+            parts: list[BoolCondition] = [lrow.condition, rrow.condition]
+            atoms = [Eq(lrow.terms[l], rrow.terms[r]) for l, r in on]
+            if not _atom_parts(parts, atoms):
+                continue
+            built = _with_condition(lrow.terms + rrow.terms, parts)
+            if built is not None:
+                rows.append(built)
+    return CTable(
+        name,
+        left.arity + right.arity,
         rows,
         left.global_condition.and_also(right.global_condition),
     )

@@ -157,6 +157,25 @@ class TestFileLoading:
         assert main(["show", "/nonexistent/db.pwt"]) == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
+    def test_cut_sealed_file_does_not_answer(self, tmp_path, capsys):
+        db = TableDatabase(
+            [codd_table("R", 2, [(1, 10), (2, 20), (3, 30)]), codd_table("S", 2, [(1, 11)])]
+        )
+        text = dumps_database(db, seal=True)
+        lines = text.splitlines(keepends=True)
+        good, cut, plain = tmp_path / "good.pwt", tmp_path / "cut.pwt", tmp_path / "plain.pwt"
+        good.write_text(text)
+        cut.write_text("".join(lines[: lines.index("2 20\n") + 1]))
+        plain.write_text(dumps_database(db))
+        query = "Q(X) :- R(X, Y)."
+        for path in (good, plain):
+            assert main(["eval", str(path), query]) == EXIT_YES
+            assert "(codd-table, 3 rows)" in capsys.readouterr().out
+        assert main(["eval", str(cut), query]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cut}: sealed database file has no closing %digest line" in captured.err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "junk.pwt"
         path.write_text("%table R\n")

@@ -31,10 +31,12 @@ import time
 
 import pytest
 
-from repro.core.conditions import Atom, Conjunction, parse_conjunction
+from repro.core.conditions import Atom, Conjunction, Neq, parse_conjunction
 from repro.core.tables import CTable, TableDatabase, c_table, codd_table
+from repro.core.terms import Variable
 from repro.core.worlds import enumerate_worlds, strong_canonicalize
 from repro.ctalgebra.evaluate import evaluate_ct
+from repro.ctalgebra.operators import JoinPartition, join_ct
 from repro.extensions.updates import insert_fact
 from repro.relational.parser import parse_query
 from repro.relational.planner import ra_of_ucq
@@ -169,6 +171,37 @@ class TestStatsAtomicity:
                 assert len(table.columns) == 2
 
         run_threads([writer, reader, reader, reader])
+
+
+class TestJoinPartitionMemo:
+    def test_concurrent_first_joins_share_one_correct_partition(self):
+        """Readers joining a table whose partition memo is empty race to
+        fill it without a lock; every join must still see the whole
+        table, and the memo must end equal to a fresh partition."""
+        x = Variable("x")
+        rows = [(f"k{i % 7}", i) for i in range(60)]
+        rows += [((x, 60), Conjunction([Neq(x, "k1")]))]
+        dim = codd_table("D", 2, [(f"k{i}", f"v{i}") for i in range(7)])
+        expected = {frozenset(join_ct(c_table("F", 2, rows), dim, [(0, 0)]).rows)}
+        for _ in range(10):
+            fact = c_table("F", 2, rows)
+            seen = []
+
+            def reader():
+                seen.append(frozenset(join_ct(fact, dim, [(0, 0)]).rows))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads mid-classification
+            try:
+                run_threads([reader] * 6)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(seen) == 6 and set(seen) == expected
+            memo = fact.join_partition((0,))
+            fresh = JoinPartition(fact, (0,))
+            assert (memo.buckets, memo.wild, memo.alive) == (
+                fresh.buckets, fresh.wild, fresh.alive
+            )
 
 
 # ---------------------------------------------------------------------------

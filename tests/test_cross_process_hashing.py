@@ -10,7 +10,12 @@ value class therefore pickles back through its constructor.
 A table's statistics memo (:meth:`~repro.core.tables.CTable.stats`)
 pickles with the table, so a worker plans from the parent's collection
 without redoing it; its most-common-value maps are keyed by constants
-and must still be found by freshly built ones in the child.
+and must still be found by freshly built ones in the child.  Its join
+partition memo (:meth:`~repro.core.tables.CTable.join_partition`) does
+not pickle: the child rebuilds it from the rows it received.
+
+Rows memoise their hash too, including the operator outputs built by
+``Row._trusted``; they pickle through a reconstructor that recomputes it.
 
 The children below run under an explicit ``PYTHONHASHSEED`` that differs
 from the parent's.  A child that inherited the parent's seed (as it does
@@ -31,6 +36,7 @@ import repro
 from repro.core.conditions import BoolAnd, BoolAtom, BoolOr, Conjunction, Eq, Neq
 from repro.core.tables import CTable, Row
 from repro.core.terms import Constant, Variable
+from repro.ctalgebra.operators import join_ct
 
 _CHILD = """
 import json, pickle, sys
@@ -90,12 +96,54 @@ print(json.dumps({{
 """
 
 
+_PARTITION_CHILD = """
+import json, pickle, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from repro.ctalgebra.operators import join_ct
+from test_cross_process_hashing import partition_tables
+
+shipped = pickle.loads(sys.stdin.buffer.read())
+memo_shipped = hasattr(shipped, "_partitions")
+fact, dim = partition_tables()
+joined = join_ct(shipped, dim, [(0, 0)])
+part, fresh = shipped.join_partition((0,)), fact.join_partition((0,))
+print(json.dumps({{
+    "probe": hash("probe"),
+    "memo_shipped": memo_shipped,
+    "rows_equal": joined.rows == join_ct(fact, dim, [(0, 0)]).rows,
+    "buckets_equal": part.buckets == fresh.buckets,
+    "keys_found": all(key in part.buckets for key in fresh.buckets),
+    "wild_equal": part.wild == fresh.wild and part.alive == fresh.alive,
+}}))
+"""
+
+
+def partition_tables() -> tuple:
+    """A fact table (string and int keys, a wild row, a local condition)
+    and a dimension table to join it with on column 0."""
+    x = Variable("x")
+    fact = CTable(
+        "F",
+        2,
+        [("k1", 1), ("k2", 2), (3, "v"), Row((x, 4), Conjunction([Neq(x, "k1")])), ("k1", 5)],
+    )
+    dim = CTable("D", 2, [("k1", "a"), ("k2", "b"), (3, "c")])
+    return fact, dim
+
+
 def build_values() -> dict:
     """One value of every shipped class, built the same way in each process."""
     x, y = Variable("x"), Variable("y")
     conj = Conjunction([Eq(x, "a"), Neq(y, 2)])
     both = BoolAnd((BoolAtom(Eq(x, 1)), BoolAtom(Neq(x, y))))
     either = BoolOr((both, BoolAtom(Eq(y, "b"))))
+    # An operator output: built by Row._trusted under a BoolAnd of the
+    # two inputs' conditions.
+    joined = join_ct(
+        CTable("L", 2, [Row((x, 1), BoolAtom(Neq(x, 2)))]),
+        CTable("R", 2, [Row((1, y), BoolAtom(Eq(y, "b")))]),
+        [(1, 0)],
+    ).rows[0]
     return {
         "Constant(int)": Constant(7),
         "Constant(str)": Constant("seven"),
@@ -107,6 +155,7 @@ def build_values() -> dict:
         "BoolAnd": both,
         "BoolOr": either,
         "Row": Row((x, "a"), either),
+        "Row(join_ct)": joined,
         "CTable": CTable("R", 2, [Row((x, "a"), both), Row(("b", y))], conj),
     }
 
@@ -140,6 +189,34 @@ def test_values_rehash_and_reintern_in_a_child_with_another_seed():
     for name, checks in report["checks"].items():
         assert checks == {"equal": True, "same_hash": True, "in_set": True}, name
     assert report["interned"] == {"Conjunction": True, "CTable.global_condition": True}
+
+
+def test_operator_output_row_is_a_trusted_row_under_a_conjunction():
+    row = build_values()["Row(join_ct)"]
+    assert isinstance(row.condition, BoolAnd)
+    assert row == Row(row.terms, row.condition)
+    assert hash(row) == hash(Row(row.terms, row.condition))
+
+
+def test_join_partition_memo_stays_home_and_is_rebuilt():
+    fact, dim = partition_tables()
+    bare = pickle.dumps(fact)
+    join_ct(fact, dim, [(0, 0)])  # fills both tables' memos
+    assert fact.join_partition((0,)) is fact.join_partition((0,))
+    assert pickle.dumps(fact) == bare  # the memo adds nothing to the pickle
+    code = _PARTITION_CHILD.format(
+        src=str(Path(repro.__file__).resolve().parents[1]),
+        tests=str(Path(__file__).resolve().parent),
+    )
+    report = _run_child(code, fact)
+    assert report.pop("probe") != hash("probe")
+    assert report == {
+        "memo_shipped": False,
+        "rows_equal": True,
+        "buckets_equal": True,
+        "keys_found": True,
+        "wild_equal": True,
+    }
 
 
 def test_statistics_memo_ships_with_the_table():

@@ -9,6 +9,8 @@ checked against the enumeration semantics on small inputs, for UCQs and
 for every lifted relational operator including the difference extension.
 """
 
+import random
+
 import pytest
 
 from repro.core.conditions import Conjunction, Eq, Neq
@@ -25,10 +27,12 @@ from repro.ctalgebra import (
     select_ct,
     union_ct,
 )
+from repro.ctalgebra.operators import join_ct
 from repro.queries import UCQQuery, atom, cq
 from repro.relational import (
     ColEq,
     ColEqConst,
+    ColNeq,
     ColNeqConst,
     Difference,
     Intersect,
@@ -41,6 +45,8 @@ from repro.relational import (
 )
 from repro.relational.instance import Instance
 from repro.workloads import random_table
+
+from oracles import join_ct_pairwise, select_ct_atoms
 
 x, y = Variable("x"), Variable("y")
 
@@ -283,3 +289,71 @@ class TestRAEvaluation:
         assert view.rows[0].condition_dnf() == (
             Conjunction([Eq(x, 5)]),
         )
+
+
+class TestConstantFastPaths:
+    """``select_ct`` decides a column-vs-constant predicate on a constant
+    cell, and ``join_ct`` a join column between two constants, without
+    building the atom; the atom path (``tests/oracles.py``) is the
+    reference.  Cells mix ``Constant(1)`` with ``Constant("1")`` and
+    ``Constant(True)``: equal in Python (``True == 1``) or by string, and
+    ``hash(True) == hash(1)``, yet three distinct constants.  Local
+    conditions use inequalities only, so no condition pins a join term
+    and the pairwise join is row-identical to the hashed one."""
+
+    CELLS = (Constant(1), Constant("1"), Constant(True), Constant(2), x, y)
+    CONSTANTS = (Constant(1), Constant("1"), Constant(True))
+
+    def _table(self, rng, name, rows):
+        built = []
+        for _ in range(rows):
+            terms = tuple(rng.choice(self.CELLS) for _ in range(2))
+            variables = [t for t in terms if isinstance(t, Variable)]
+            if variables and rng.random() < 0.5:
+                atom = Neq(variables[0], rng.choice(self.CONSTANTS))
+                built.append((terms, Conjunction([atom])))
+            else:
+                built.append((terms,))
+        return c_table(name, 2, built)
+
+    def _predicates(self, rng):
+        preds = []
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice((ColEqConst, ColNeqConst, ColEq, ColNeq))
+            if kind in (ColEq, ColNeq):
+                preds.append(kind(0, 1))
+            else:
+                preds.append(kind(rng.randint(0, 1), rng.choice(self.CONSTANTS)))
+        return preds
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_select_matches_the_atom_path(self, seed):
+        rng = random.Random(seed)
+        table = self._table(rng, "R", 6)
+        preds = self._predicates(rng)
+        assert select_ct(table, preds, name="V") == select_ct_atoms(table, preds, name="V")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_join_matches_the_pairwise_atom_path(self, seed):
+        rng = random.Random(1000 + seed)
+        left, right = self._table(rng, "L", 5), self._table(rng, "R", 5)
+        on = rng.choice(([(0, 0)], [(1, 0)], [(0, 0), (1, 1)], [(0, 1), (1, 0)]))
+        hashed = join_ct(left, right, on, name="J")
+        pairwise = join_ct_pairwise(left, right, on, name="J")
+        assert len(hashed) == len(pairwise)
+        assert set(hashed.rows) == set(pairwise.rows)
+
+    def test_one_true_and_string_one_are_distinct_cells(self):
+        table = CTable("R", 1, [(Constant(1),), (Constant("1"),), (Constant(True),)])
+        for constant in self.CONSTANTS:
+            kept = select_ct(table, [ColEqConst(0, constant)])
+            assert [row.terms for row in kept.rows] == [(constant,)]
+            dropped = select_ct(table, [ColNeqConst(0, constant)])
+            assert len(dropped) == 2 and (constant,) not in [r.terms for r in dropped.rows]
+        # A wild row (a variable in the second join column) pairs with
+        # every right row; the first column's constants decide the pair.
+        left = CTable("L", 2, [(Constant(1), x)])
+        right = CTable("R", 2, [(c, Constant(5)) for c in self.CONSTANTS])
+        joined = join_ct(left, right, [(0, 0), (1, 1)], name="J")
+        assert [row.terms[2] for row in joined.rows] == [Constant(1)]
+        assert set(joined.rows) == set(join_ct_pairwise(left, right, [(0, 0), (1, 1)], name="J").rows)

@@ -270,6 +270,61 @@ class TestDatabaseTextErrors:
             pytest.fail("expected TextFormatError")
 
 
+class TestSealedDatabaseText:
+    """A sealed file (what a file-backed session persists) ends with a
+    content digest, so a copy cut short loads as an error, never as a
+    smaller database; hand-written files need no digest."""
+
+    def database(self) -> TableDatabase:
+        return TableDatabase(
+            [codd_table("R", 2, [(1, 10), (2, 20), (3, 30)]), codd_table("S", 2, [(1, 11)])]
+        )
+
+    def test_sealed_text_round_trips_and_ends_with_its_digest(self):
+        text = dumps_database(self.database(), seal=True)
+        assert text.startswith("%sealed\n%database\n")
+        assert text.splitlines()[-1].startswith("%digest sha256 ")
+        assert loads_database(text) == self.database()
+
+    def test_cut_after_the_second_row_is_an_error(self):
+        text = dumps_database(self.database(), seal=True)
+        lines = text.splitlines(keepends=True)
+        cut = "".join(lines[: lines.index("2 20\n") + 1])
+        # Unsealed, the same cut reads as a smaller database.
+        assert len(loads_database(cut.replace("%sealed\n", "", 1))["R"]) == 2
+        with pytest.raises(TextFormatError, match="cut short"):
+            loads_database(cut)
+
+    def test_every_cut_is_an_error(self):
+        text = dumps_database(self.database(), seal=True)
+        for end in range(len(text) - 1):
+            with pytest.raises(TextFormatError):
+                loads_database(text[:end])
+
+    def test_text_without_a_digest_loads(self):
+        plain = dumps_database(self.database())
+        assert "%digest" not in plain
+        assert loads_database(plain) == self.database()
+        assert loads_database("%table R/1\n7\n") == TableDatabase(
+            [codd_table("R", 1, [(7,)])]
+        )
+
+    def test_a_change_above_the_digest_is_an_error(self):
+        text = dumps_database(self.database(), seal=True)
+        with pytest.raises(TextFormatError, match="digest mismatch"):
+            loads_database(text.replace("2 20\n", "2 21\n"))
+
+    def test_rows_appended_after_the_digest_load(self):
+        text = dumps_database(self.database(), seal=True) + "4 40\n"
+        assert len(loads_database(text)["S"]) == 2
+
+    def test_malformed_digest_line(self):
+        text = dumps_database(self.database(), seal=True)
+        body = text[: text.index("%digest")]
+        with pytest.raises(TextFormatError, match="sha256 HEX"):
+            loads_database(body + "%digest md5 abc\n")
+
+
 # ---------------------------------------------------------------------------
 # Instance text round-trips
 # ---------------------------------------------------------------------------

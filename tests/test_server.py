@@ -299,6 +299,21 @@ class TestSessionPersistence:
         result = reloaded.query("W(X, Z) :- R(X, Y), R(Y, Z).", use_views=True)
         assert result.answered_by_view == "V"
 
+    def test_persisted_text_is_sealed(self, tmp_path):
+        registry = SessionRegistry()
+        path = self.make_file(tmp_path, text=True)
+        session, _ = registry.open_file("g", path)
+        session.apply([("insert", "R", ("c", "d"))])
+        session.persist()
+        with open(path, encoding="utf-8") as fp:
+            text = fp.read()
+        assert text.splitlines()[-1].startswith("%digest sha256 ")
+        # A copy cut short refuses to load instead of serving fewer rows.
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text[: text.index('"c" "d"')])
+        with pytest.raises(DatabaseFileError, match=re.escape(path)):
+            load_database_file(path)
+
     def test_stale_sidecar_refresh_policy_rematerializes(self, tmp_path):
         registry = SessionRegistry()
         path = self.make_file(tmp_path)

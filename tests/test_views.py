@@ -692,6 +692,77 @@ class TestPersistentJoinPartition:
         assert manager.counters["partition_builds"] == builds
         assert manager.counters["partition_reuses"] > reuses
 
+    def test_add_rows_returns_the_added_rows_partition(self):
+        table = c_table("R", 2, [((4, 11),)], "g = 3")
+        partition = JoinPartition(table, [0])
+        extra = (
+            Row((Constant(4), Constant(13))),
+            Row((Variable("g"), Constant(14))),  # pinned by the table's global
+            Row((Variable("q"), Constant(15))),
+        )
+        added = partition.add_rows(extra)
+        assert added.columns == partition.columns
+        assert added.alive == list(extra)
+        assert added.buckets == {(Constant(4),): [extra[0]], (Constant(3),): [extra[1]]}
+        assert added.wild == [extra[2]]
+        assert partition.buckets[(Constant(4),)] == [table.rows[0], extra[0]]
+        reference = JoinPartition(table.extended(extra), [0])
+        assert (partition.buckets, partition.wild, partition.alive) == (
+            reference.buckets, reference.wild, reference.alive
+        )
+
+    def test_each_delta_row_is_classified_once(self, monkeypatch):
+        """Once a join keeps a partition of a child, a delta row of that
+        child is classified into it once: the delta join takes the
+        partition of the added rows instead of classifying them again."""
+        db, expr = _star(seed=11, num_dims=2, dim_rows=6, fact_rows=24)
+        manager = ViewManager(db)
+        manager.define("V", expr)
+        inserts = [("D0", (7, 0)), ("D1", (7, 1)), ("F", (1, 2)), ("F", (2, 3))]
+        for relation, fact in inserts:  # every join builds its partitions
+            db = insert_fact(db, relation, fact, views=manager)
+        classified = Counter()
+        original = JoinPartition._classify
+
+        def counting(partition, row):
+            classified[partition.columns, row] += 1
+            return original(partition, row)
+
+        monkeypatch.setattr(JoinPartition, "_classify", counting)
+        for relation, fact in [("F", (3, 4)), ("D0", (8, 0)), ("F", (4, 5)), ("D1", (8, 1))]:
+            db = insert_fact(db, relation, fact, views=manager)
+        assert_view_matches(manager, "V", expr, db)
+        assert classified and max(classified.values()) == 1
+
+    def test_published_partition_memos_are_never_mutated(self):
+        """join_ct memoises a partition on each table it reads; view
+        maintenance keeps its own partitions and never touches those."""
+        db, expr = _star(seed=13, num_dims=2, dim_rows=5, fact_rows=20)
+        manager = ViewManager(db)
+        manager.define("V", expr)
+        base = list(db)
+
+        def shape(table):
+            return {
+                columns: (
+                    {key: list(rows) for key, rows in part.buckets.items()},
+                    list(part.wild),
+                    list(part.alive),
+                )
+                for columns, part in getattr(table, "_partitions", {}).items()
+            }
+
+        before = [shape(table) for table in base]
+        assert any(before), "define should memoise partitions on the base tables"
+        facts = [tuple(t.value for t in row.terms) for row in db["F"].rows]
+        for fact in facts[:3]:
+            db = delete_fact(db, "F", fact, views=manager)
+        for relation, fact in [("F", (0, 1)), ("D0", (9, 9)), ("F", (2, 9)), ("D1", (9, 8))]:
+            db = insert_fact(db, relation, fact, views=manager)
+        db = delete_fact(db, "D0", (9, 9), views=manager)
+        assert_view_matches(manager, "V", expr, db)
+        assert [shape(table) for table in base] == before
+
     def test_manager_partitions_survive_deletes(self):
         db, expr = _star(seed=13, num_dims=2, dim_rows=5, fact_rows=20)
         manager = ViewManager(db)
